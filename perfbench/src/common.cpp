@@ -53,12 +53,21 @@ void report_machine(Report& report, double gemm_peak) {
   report.metric("scaling.threads_1", 1, "threads");
 }
 
-bool bitwise_equal(const gofmm::la::Matrix<double>& a,
-                   const gofmm::la::Matrix<double>& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     sizeof(double) * std::size_t(a.rows()) *
-                         std::size_t(a.cols())) == 0;
+void check_repeat_apply(Report& report, const char* workload,
+                        gofmm::la::Matrix<double>& first,
+                        gofmm::la::Matrix<double> u) {
+  if (first.empty()) {
+    first = std::move(u);
+    report.attempt(true);
+    return;
+  }
+  const bool same = u.rows() == first.rows() && u.cols() == first.cols() &&
+                    std::memcmp(u.data(), first.data(),
+                                sizeof(double) * std::size_t(u.rows()) *
+                                    std::size_t(u.cols())) == 0;
+  report.attempt(same);
+  report.check(same, std::string(workload) +
+                         ": repeated apply() is not bitwise identical");
 }
 
 std::vector<double> column_residuals(
@@ -91,7 +100,8 @@ std::array<double, 3> median_two_phase_setup(
     first.push_back(a);
     second.push_back(b);
   }
-  return {quantile(total, 0.5), quantile(first, 0.5), quantile(second, 0.5)};
+  return {percentile(total, 50), percentile(first, 50),
+          percentile(second, 50)};
 }
 
 std::vector<double> lambda_ladder(std::uint64_t seed) {
@@ -116,7 +126,8 @@ LadderResult run_ladder(gofmm::CompressedOperator<double>& op,
                         const std::vector<double>& lambdas,
                         const gofmm::la::Matrix<double>& rhs,
                         int solves_per_step, double seconds, int min_steps,
-                        double max_residual, Report& report, Tracer& tracer) {
+                        double max_residual, Report& report, Tracer& tracer,
+                        const std::function<void()>& before_step) {
   using Matrix = gofmm::la::Matrix<double>;
   gofmm::Factorizable<double>& fact = *op.factorizable();
   const index_t n = op.size();
@@ -127,6 +138,7 @@ LadderResult run_ladder(gofmm::CompressedOperator<double>& op,
   for (int step = 0;
        step < min_steps || seconds_between(start, Clock::now()) < seconds;
        ++step) {
+    if (before_step) before_step();
     const double lambda = lambdas[std::size_t(step) % lambdas.size()];
     Tracer::Scope step_span(tracer, "ladder_step", std::uint64_t(step) + 1);
     auto t0 = Clock::now();

@@ -46,15 +46,6 @@ std::string number(double v) {
 
 }  // namespace
 
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return std::numeric_limits<double>::quiet_NaN();
-  std::sort(v.begin(), v.end());
-  const double pos = q * double(v.size() - 1);
-  const auto lo = std::size_t(std::floor(pos));
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - double(lo)) * (v[hi] - v[lo]);
-}
-
 std::string sci(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3e", v);

@@ -19,6 +19,7 @@
 
 #include "core/spd_matrix.hpp"
 #include "la/matrix.hpp"
+#include "util/stats.hpp"
 
 namespace perfbench {
 
@@ -39,9 +40,7 @@ struct Args {
   std::string trace_file;  ///< where a traced run writes its spans
 };
 
-/// Quantile q ∈ [0,1] of `v` by linear interpolation between order
-/// statistics (the "inclusive" definition); NaN when `v` is empty.
-double quantile(std::vector<double> v, double q);
+using gofmm::percentile;
 
 /// `v` in scientific notation with four significant digits (messages).
 std::string sci(double v);

@@ -1,9 +1,9 @@
 // hodlr_solve — the HODLR baseline through the shared ULV engine.
 //
 // HODLR on K04 at N = 4096 (leaf 128, τ = 1e-5, max rank 256). Set-up is
-// build plus factorize(λ₀); the timed phase is repeated r = 16 matvecs,
-// then the same λ ladder as ulv_solve (refactorize, single-column solves,
-// residual check through apply()).
+// build plus factorize(λ₀); the timed phase is the same λ ladder as
+// ulv_solve (refactorize, single-column solves, residual check through
+// apply()) with a burst of r = 16 matvecs before each λ step.
 //
 // Why: it drives the shared ULV engine another way, through Woodbury with
 // Explicit bases, and it is the only workload that measures the baselines
@@ -36,7 +36,7 @@ constexpr double kMaxRelErr = 5e-3;
 // only catches a plainly wrong solve, and the traced run reports the
 // residual itself as solve.max_residual.
 constexpr double kMaxResidual = 1e-2;
-constexpr double kMatvecShare = 0.25;  // of the timed phase; the rest is λ
+constexpr int kMatvecsPerStep = 10;  // about a quarter of the timed phase
 
 gofmm::baseline::HodlrOptions options() {
   gofmm::baseline::HodlrOptions o;
@@ -88,12 +88,21 @@ void run_hodlr_solve(const Args& args, Report& report) {
       Tracer::Scope span(tracer, "apply", std::uint64_t(i) + 1);
       u = op->apply(w[std::size_t(b)], ws);
     }
-    if (first[std::size_t(b)].empty()) {
-      first[std::size_t(b)] = std::move(u);
-      report.attempt(true);
-    } else {
-      report.attempt(bitwise_equal(u, first[std::size_t(b)]));
-    }
+    check_repeat_apply(report, "hodlr_solve", first[std::size_t(b)],
+                       std::move(u));
+  };
+  // The matvecs run in bursts before each λ step, so they sample the whole
+  // timed phase: run as one 5-s block, their p50 moved 17-20% between
+  // identical runs with the host's load.
+  int next_mv = 1;
+  auto matvecs_into = [&](std::vector<double>& times) {
+    return [&] {
+      for (int j = 0; j < kMatvecsPerStep; ++j) {
+        const auto t0 = Clock::now();
+        matvec(next_mv++);
+        times.push_back(seconds_between(t0, Clock::now()));
+      }
+    };
   };
   auto check_outputs = [&] {
     const double eps =
@@ -106,20 +115,19 @@ void run_hodlr_solve(const Args& args, Report& report) {
   if (!args.trace) {
     const double setup_s = plain_setups()[0];
     matvec(0);
-    const auto tm = time_repeated(kMatvecShare * args.seconds, 20, matvec);
+    std::vector<double> tm;
     const LadderResult lad =
-        run_ladder(*op, lambdas, rhs, kSolvesPerStep,
-                   (1 - kMatvecShare) * args.seconds, 3, kMaxResidual, report,
-                   tracer);
+        run_ladder(*op, lambdas, rhs, kSolvesPerStep, args.seconds, 3,
+                   kMaxResidual, report, tracer, matvecs_into(tm));
     const double eps = check_outputs();
     report.metric("setup_s", setup_s, "s");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    report.metric("matvec_p50_ms", 1e3 * quantile(tm, 0.5), "ms");
-    report.metric("matvec_p90_ms", 1e3 * quantile(tm, 0.9), "ms");
+    report.metric("matvec_p50_ms", 1e3 * percentile(tm, 50), "ms");
+    report.metric("matvec_p90_ms", 1e3 * percentile(tm, 90), "ms");
     report.metric("matvec_rel_err", eps, "ratio");
-    report.metric("retune_p50_ms", 1e3 * quantile(lad.retune_s, 0.5), "ms");
-    report.metric("solve_p50_ms", 1e3 * quantile(lad.solve_s, 0.5), "ms");
-    report.metric("solve_p90_ms", 1e3 * quantile(lad.solve_s, 0.9), "ms");
+    report.metric("retune_p50_ms", 1e3 * percentile(lad.retune_s, 50), "ms");
+    report.metric("solve_p50_ms", 1e3 * percentile(lad.solve_s, 50), "ms");
+    report.metric("solve_p90_ms", 1e3 * percentile(lad.solve_s, 90), "ms");
     return;
   }
 
@@ -128,12 +136,10 @@ void run_hodlr_solve(const Args& args, Report& report) {
   tracer.set_enabled(false);
   const auto [plain_setup, plain_build, plain_factorize] = plain_setups();
   matvec(0);
-  const auto plain_mv =
-      time_repeated(kMatvecShare * args.seconds / 2, 10, matvec);
+  std::vector<double> plain_mv;
   const LadderResult plain =
-      run_ladder(*op, lambdas, rhs, kSolvesPerStep,
-                 (1 - kMatvecShare) * args.seconds / 2, 2, kMaxResidual,
-                 report, tracer);
+      run_ladder(*op, lambdas, rhs, kSolvesPerStep, args.seconds / 2, 2,
+                 kMaxResidual, report, tracer, matvecs_into(plain_mv));
   tracer.set_enabled(true);
 
   auto oracle = std::make_shared<CountingOracle<double>>(k);
@@ -151,19 +157,17 @@ void run_hodlr_solve(const Args& args, Report& report) {
   report.metric("factorization.memory_mb", double(fs.memory_bytes) / 1e6,
                 "MB");
 
-  time_repeated(kMatvecShare * args.seconds / 2, 10, matvec);
-  const double apply_s = quantile(tracer.durations("apply"), 0.5);
+  std::vector<double> traced_mv;
+  const LadderResult lad =
+      run_ladder(*op, lambdas, rhs, kSolvesPerStep, args.seconds / 2, 2,
+                 kMaxResidual, report, tracer, matvecs_into(traced_mv));
+  const double apply_s = percentile(tracer.durations("apply"), 50);
   const double eval_gflops = double(ws.last.flops) * 1e-9 / apply_s;
   report.metric("evaluator.flops", double(ws.last.flops), "flop");
   report.metric("evaluator.gflops", eval_gflops, "GF/s");
   report.metric("evaluator.peak_frac", eval_gflops / gemm_peak, "ratio");
-
-  const LadderResult lad =
-      run_ladder(*op, lambdas, rhs, kSolvesPerStep,
-                 (1 - kMatvecShare) * args.seconds / 2, 2, kMaxResidual,
-                 report, tracer);
-  const double retune_s = quantile(tracer.durations("refactorize"), 0.5);
-  const double solve_s = quantile(tracer.durations("solve"), 0.5);
+  const double retune_s = percentile(tracer.durations("refactorize"), 50);
+  const double solve_s = percentile(tracer.durations("solve"), 50);
   report.metric("factorization.retune_gflops",
                 double(lad.retune_flops) * 1e-9 / retune_s, "GF/s");
   report.metric("solve.gbytes_per_s",
@@ -173,7 +177,7 @@ void run_hodlr_solve(const Args& args, Report& report) {
   report.metric("solve.max_residual", lad.max_residual, "ratio");
   report.metric("trace.setup_overhead",
                 (build_s + factorize_s) / plain_setup, "ratio");
-  report.metric("trace.op_overhead", apply_s / quantile(plain_mv, 0.5),
+  report.metric("trace.op_overhead", apply_s / percentile(plain_mv, 50),
                 "ratio");
   check_outputs();
 
@@ -189,13 +193,14 @@ void run_hodlr_solve(const Args& args, Report& report) {
                                          0, 2, kMaxResidual, report, tracer);
     report.metric("scaling.compress", build1 / plain_build, "ratio");
     report.metric("scaling.matvec",
-                  quantile(mv1, 0.5) / quantile(plain_mv, 0.5), "ratio");
+                  percentile(mv1, 50) / percentile(plain_mv, 50), "ratio");
     report.metric("scaling.factorize", factorize1 / plain_factorize, "ratio");
-    report.metric("scaling.retune",
-                  quantile(lad1.retune_s, 0.5) / quantile(plain.retune_s, 0.5),
-                  "ratio");
+    report.metric(
+        "scaling.retune",
+        percentile(lad1.retune_s, 50) / percentile(plain.retune_s, 50),
+        "ratio");
     report.metric("scaling.solve",
-                  quantile(lad1.solve_s, 0.5) / quantile(plain.solve_s, 0.5),
+                  percentile(lad1.solve_s, 50) / percentile(plain.solve_s, 50),
                   "ratio");
   }
   if (!args.trace_file.empty())

@@ -119,11 +119,12 @@ struct RateResult {
     columns += s.columns;
     switches += s.switches;
   }
-  // Latency quantile; a failed request counts as an infinite latency.
-  [[nodiscard]] double latency(double q) const {
+  // Latency percentile p; a failed request counts as an infinite latency.
+  [[nodiscard]] double latency(double p) const {
     std::vector<double> lat;
-    for (const Outcome& o : outcomes) lat.push_back(o.ok ? o.latency : HUGE_VAL);
-    return quantile(lat, q);
+    for (const Outcome& o : outcomes)
+      lat.push_back(o.ok ? o.latency : HUGE_VAL);
+    return percentile(lat, p);
   }
 };
 
@@ -167,10 +168,10 @@ std::vector<Request> schedule(std::uint64_t seed, double rate,
 double max_rate(const std::vector<RateResult>& rs) {
   const double limit = kLimitMs * 1e-3;
   for (std::size_t i = 0; i < rs.size(); ++i) {
-    const double p99 = rs[i].latency(0.99);
+    const double p99 = rs[i].latency(99);
     if (!rs[i].backlog && p99 <= limit) continue;
     if (i == 0) return kRates[0] * limit / p99;  // below the whole ladder
-    const double pa = rs[i - 1].latency(0.99);
+    const double pa = rs[i - 1].latency(99);
     const double pb = std::isfinite(p99) && p99 > pa ? p99 : 4 * limit;
     const double f = std::clamp(std::log(limit / pa) / std::log(pb / pa), 0.0,
                                 1.0);
@@ -273,6 +274,10 @@ void run_service_mix(const Args& args, Report& report) {
       report.metric("matrices.busy_s", busy, "s");
     }
     return t;
+  };
+  auto plain_setups = [&] {
+    return median_two_phase_setup(
+        [&] { return std::pair{setup(false), 0.0}; })[0];
   };
 
   // One segment: the generator sends on schedule, the collector records
@@ -383,7 +388,16 @@ void run_service_mix(const Args& args, Report& report) {
     rr.batches = s1.batches - s0.batches;
     rr.columns = s1.batched_columns - s0.batched_columns;
     rr.switches = seg.switches;
-    for (const Outcome& o : rr.outcomes) report.attempt(o.ok);
+    // Overload rejections are failed operations only; any other failure,
+    // a solve residual above kMaxResidual included, also fails the run.
+    std::size_t bad = 0;
+    for (const Outcome& o : rr.outcomes) {
+      report.attempt(o.ok);
+      bad += !o.ok && !o.rejected ? 1 : 0;
+    }
+    report.check(bad == 0, "service_mix: " + std::to_string(bad) +
+                               " requests failed or had a residual above " +
+                               sci(kMaxResidual));
     return rr;
   };
 
@@ -423,7 +437,7 @@ void run_service_mix(const Args& args, Report& report) {
                    "  %6.0f req/s: %zu requests, p50 %.2f ms, p99 %.2f ms, "
                    "backlog %d, retunes %llu / %d switches\n",
                    kRates[i], rates[i].outcomes.size(),
-                   1e3 * rates[i].latency(0.5), 1e3 * rates[i].latency(0.99),
+                   1e3 * rates[i].latency(50), 1e3 * rates[i].latency(99),
                    int(rates[i].backlog),
                    (unsigned long long)rates[i].retunes, rates[i].switches);
   };
@@ -433,7 +447,7 @@ void run_service_mix(const Args& args, Report& report) {
     // between identical runs, past any bound the benchmark may set, so the
     // untraced run gates set-up and memory and checks every request; the
     // latencies are reported by the traced run.
-    const double setup_s = median_setup([&](int) { setup(false); });
+    const double setup_s = plain_setups();
     for (const Segment& seg : segments) traffic(seg);
     check_matvecs();
     report.check(svc->stats().cache.builds == kDatasets.size(),
@@ -447,7 +461,7 @@ void run_service_mix(const Args& args, Report& report) {
   const double gemm_peak = gemm_peak_gflops();
   report_machine(report, gemm_peak);
   tracer.set_enabled(false);
-  const double plain_setup = median_setup([&](int) { setup(false); });
+  const double plain_setup = plain_setups();
   tracer.set_enabled(true);
   double traced_setup = 0;
   {
@@ -498,8 +512,8 @@ void run_service_mix(const Args& args, Report& report) {
   double best_rate = 0;
   for (const auto& cyc : per_cycle)
     best_rate = std::max(best_rate, max_rate(cyc));
-  report.metric("svc_p50_ms", 1e3 * rates[0].latency(0.5), "ms");
-  report.metric("svc_p99_ms", 1e3 * rates[0].latency(0.99), "ms");
+  report.metric("svc_p50_ms", 1e3 * rates[0].latency(50), "ms");
+  report.metric("svc_p99_ms", 1e3 * rates[0].latency(99), "ms");
   report.metric("svc_max_rate", best_rate, "req/s");
   print_rates();
   report.metric("la.larft_calls", double(gofmm::la::larft_calls() - larft0),
@@ -522,7 +536,7 @@ void run_service_mix(const Args& args, Report& report) {
         (void)entry->op->apply(w, ws);
       });
       flops += double(ws.last.flops);
-      seconds += quantile(t, 0.5);
+      seconds += percentile(t, 50);
     }
     report.metric("evaluator.flops", flops / double(kDatasets.size()), "flop");
     report.metric("evaluator.gflops", flops * 1e-9 / seconds, "GF/s");
@@ -553,8 +567,8 @@ void run_service_mix(const Args& args, Report& report) {
   // batch width at a high rate (it bounds svc_max_rate); retunes per λ flip
   // at the reference rate (waste above 1 lengthens svc_p99_ms).
   const RateResult& high = traced[kHighRate];
-  report.metric("service.queue_ms_p50", 1e3 * quantile(queue, 0.5), "ms");
-  report.metric("service.sweep_ms_p50", 1e3 * quantile(sweep, 0.5), "ms");
+  report.metric("service.queue_ms_p50", 1e3 * percentile(queue, 50), "ms");
+  report.metric("service.sweep_ms_p50", 1e3 * percentile(sweep, 50), "ms");
   report.metric("service.batch_width_avg",
                 double(high.columns) / double(std::max<std::uint64_t>(
                                            high.batches, 1)),
@@ -566,10 +580,10 @@ void run_service_mix(const Args& args, Report& report) {
   report.metric("service.builds", double(st.cache.builds), "count");
   report.metric("service.rejected", rejected, "count");
   report.metric("service.failed", failed, "count");
-  report.metric("service.gen_late_ms", 1e3 * quantile(late, 0.99), "ms");
+  report.metric("service.gen_late_ms", 1e3 * percentile(late, 99), "ms");
   report.metric("trace.setup_overhead", traced_setup / plain_setup, "ratio");
   report.metric("trace.op_overhead",
-                traced[0].latency(0.5) / plain[0].latency(0.5), "ratio");
+                traced[0].latency(50) / plain[0].latency(50), "ratio");
   if (!args.trace_file.empty())
     report.check(tracer.write_chrome_trace(args.trace_file),
                  "cannot write " + args.trace_file);

@@ -74,9 +74,9 @@ void run_ulv_solve(const Args& args, Report& report) {
     report.check(lad.larft_calls == 0, "ulv_solve: solves called larft");
     report.metric("setup_s", setup_s, "s");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    report.metric("retune_p50_ms", 1e3 * quantile(lad.retune_s, 0.5), "ms");
-    report.metric("solve_p50_ms", 1e3 * quantile(lad.solve_s, 0.5), "ms");
-    report.metric("solve_p90_ms", 1e3 * quantile(lad.solve_s, 0.9), "ms");
+    report.metric("retune_p50_ms", 1e3 * percentile(lad.retune_s, 50), "ms");
+    report.metric("solve_p50_ms", 1e3 * percentile(lad.solve_s, 50), "ms");
+    report.metric("solve_p90_ms", 1e3 * percentile(lad.solve_s, 90), "ms");
     return;
   }
 
@@ -105,9 +105,9 @@ void run_ulv_solve(const Args& args, Report& report) {
   const LadderResult lad =
       run_ladder(*op, lambdas, rhs, kSolvesPerStep, args.seconds / 2, 3,
                  kMaxResidual, report, tracer);
-  const double retune_s = quantile(tracer.durations("refactorize"), 0.5);
-  const double solve_s = quantile(tracer.durations("solve"), 0.5);
-  const double residual_s = quantile(tracer.durations("residual_apply"), 0.5);
+  const double retune_s = percentile(tracer.durations("refactorize"), 50);
+  const double solve_s = percentile(tracer.durations("solve"), 50);
+  const double residual_s = percentile(tracer.durations("residual_apply"), 50);
   report.metric("factorization.retune_gflops",
                 double(lad.retune_flops) * 1e-9 / retune_s, "GF/s");
   report.metric("solve.gbytes_per_s",
@@ -125,7 +125,7 @@ void run_ulv_solve(const Args& args, Report& report) {
                  tracer.total_seconds("factorize")) /
                     plain_setup,
                 "ratio");
-  report.metric("trace.op_overhead", solve_s / quantile(plain.solve_s, 0.5),
+  report.metric("trace.op_overhead", solve_s / percentile(plain.solve_s, 50),
                 "ratio");
 
   {
@@ -137,11 +137,12 @@ void run_ulv_solve(const Args& args, Report& report) {
                                          0, 2, kMaxResidual, report, tracer);
     report.metric("scaling.compress", compress1 / plain_compress, "ratio");
     report.metric("scaling.factorize", factorize1 / plain_factorize, "ratio");
-    report.metric("scaling.retune",
-                  quantile(lad1.retune_s, 0.5) / quantile(plain.retune_s, 0.5),
-                  "ratio");
+    report.metric(
+        "scaling.retune",
+        percentile(lad1.retune_s, 50) / percentile(plain.retune_s, 50),
+        "ratio");
     report.metric("scaling.solve",
-                  quantile(lad1.solve_s, 0.5) / quantile(plain.solve_s, 0.5),
+                  percentile(lad1.solve_s, 50) / percentile(plain.solve_s, 50),
                   "ratio");
   }
   if (!args.trace_file.empty())

@@ -47,23 +47,10 @@ inline std::vector<double> time_repeated(double seconds, int min_reps,
   return out;
 }
 
-/// Median wall-clock seconds of kSetupReps runs of `build(rep)` (each run
-/// replaces the previous product, which `build` must release first).
-/// `after(rep)`, if given, runs untimed after each build.
-inline double median_setup(const std::function<void(int)>& build,
-                           const std::function<void(int)>& after = {}) {
-  std::vector<double> t;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
-    const auto t0 = Clock::now();
-    build(rep);
-    t.push_back(seconds_between(t0, Clock::now()));
-    if (after) after(rep);
-  }
-  return quantile(t, 0.5);
-}
-
-/// Medians over kSetupReps runs of a two-phase set-up (build, then
-/// factorize) that returns each phase's seconds: {total, phase 1, phase 2}.
+/// Medians over kSetupReps from-scratch runs of a set-up that returns the
+/// seconds of its two phases (build, then factorize; a one-phase set-up
+/// returns 0 for the second): {total, phase 1, phase 2}. Each run replaces
+/// the previous product, which `setup` must release first.
 std::array<double, 3> median_two_phase_setup(
     const std::function<std::pair<double, double>()>& setup);
 
@@ -103,9 +90,13 @@ void report_oracle(Report& report, const CountingOracle<double>& oracle);
 /// la.gemm_peak_gflops, and the scaling thread counts.
 void report_machine(Report& report, double gemm_peak);
 
-/// Bitwise equality of two matrices (the repeated-apply determinism check).
-[[nodiscard]] bool bitwise_equal(const gofmm::la::Matrix<double>& a,
-                                 const gofmm::la::Matrix<double>& b);
+/// The repeated-apply determinism check on one product `u` of an rhs
+/// block: the block's first product is kept in `first`, and every later
+/// one must equal it bit for bit. Counts one attempted operation; a
+/// mismatch also fails the run.
+void check_repeat_apply(Report& report, const char* workload,
+                        gofmm::la::Matrix<double>& first,
+                        gofmm::la::Matrix<double> u);
 
 /// Column residuals ‖(A+λI)x_j − b_j‖/‖b_j‖ through the operator's
 /// own apply() (one blocked matvec for all columns).
@@ -129,11 +120,13 @@ struct LadderResult {
 /// `solves_per_step` single-column solves of columns of `rhs`, then one
 /// blocked apply() of the solutions that checks every residual against
 /// `max_residual`. Each solve counts as one attempted operation. With an
-/// enabled tracer every call is a span.
+/// enabled tracer every call is a span. `before_step`, if given, runs
+/// before every step, outside the step's span and timings.
 LadderResult run_ladder(gofmm::CompressedOperator<double>& op,
                         const std::vector<double>& lambdas,
                         const gofmm::la::Matrix<double>& rhs,
                         int solves_per_step, double seconds, int min_steps,
-                        double max_residual, Report& report, Tracer& tracer);
+                        double max_residual, Report& report, Tracer& tracer,
+                        const std::function<void()>& before_step = {});
 
 }  // namespace perfbench
