@@ -11,16 +11,19 @@ standard output:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 --trace 0 reports the end-to-end metrics of an untraced run; --trace 1
-reports the per-layer metrics of a traced run and writes its spans to
-.bench_build/traces/ as Chrome trace-event JSON. Everything the benchmark
-writes (build tree, zoo matrix cache, traces) stays under .bench_build/.
+reports the per-layer metrics of a traced run, and writes its spans (Chrome
+trace-event JSON) and every layer figure of the workload to
+.bench_build/traces/. The metric names printed must be exactly those
+BENCHMARK.json lists for the mode. Everything the benchmark writes (build
+tree, zoo matrix cache, traces) stays under .bench_build/.
 Exit status is non-zero, with no result printed, when the build fails, the
-workload crashes or times out; it is 1, with the result printed, when a
-correctness check fails.
+workload crashes or times out, or its metrics are not the listed ones; it
+is 1, with the result printed, when a correctness check fails.
 """
 
 import argparse
 import json
+import math
 import os
 import signal
 import subprocess
@@ -31,6 +34,7 @@ ROOT = os.path.dirname(HERE)
 WORK = os.path.join(ROOT, ".bench_build")
 BUILD = os.path.join(WORK, "perfbench")
 BINARY = os.path.join(BUILD, "perfbench")
+MANIFEST = os.path.join(ROOT, "BENCHMARK.json")
 WORKLOADS = ("fmm_matvec", "ulv_solve", "hodlr_solve", "service_mix")
 RUN_TIMEOUT_S = 170  # one run must end within 180 s
 
@@ -63,6 +67,14 @@ def build():
     return run_child(cmd, stdout=sys.stderr)[0] == 0
 
 
+def listed_metrics(trace):
+    """{name: unit} of the metrics BENCHMARK.json lists for the mode."""
+    with open(MANIFEST) as f:
+        manifest = json.load(f)
+    section = manifest["per_layer" if trace == "1" else "end_to_end"]
+    return {m["name"]: m["unit"] for m in section}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -80,8 +92,9 @@ def main():
     if args.trace == "1":
         traces = os.path.join(WORK, "traces")
         os.makedirs(traces, exist_ok=True)
-        cmd += ["--trace-file",
-                os.path.join(traces, f"{args.workload}-seed{args.seed}.json")]
+        stem = os.path.join(traces, f"{args.workload}-seed{args.seed}")
+        cmd += ["--trace-file", stem + ".json",
+                "--layers-file", stem + ".layers.json"]
     env = dict(os.environ, GOFMM_CACHE_DIR=os.path.join(WORK, "zoo_cache"))
     try:
         status, out = run_child(cmd, timeout=RUN_TIMEOUT_S,
@@ -94,6 +107,14 @@ def main():
         log(f"{args.workload} exited with status {status}")
         return 2
     result = json.loads(lines[-1])
+    got = {k: v["unit"] for k, v in result["metrics"].items()}
+    want = listed_metrics(args.trace)
+    finite = all(isinstance(v["value"], (int, float)) and
+                 math.isfinite(v["value"]) for v in result["metrics"].values())
+    if got != want or not finite:
+        log(f"{args.workload} printed metrics {sorted(got.items())}, "
+            f"BENCHMARK.json lists {sorted(want.items())}")
+        return 2
     print(json.dumps(result))
     return 0 if result["correct"] and status == 0 else 1
 

@@ -73,6 +73,11 @@ void Report::metric(const std::string& name, double value,
   metrics_.push_back({name, value, unit});
 }
 
+void Report::detail(const std::string& name, double value,
+                    const std::string& unit) {
+  details_.push_back({name, value, unit});
+}
+
 void Report::check(bool ok, const std::string& what) {
   if (!ok) {
     correct_ = false;
@@ -80,31 +85,49 @@ void Report::check(bool ok, const std::string& what) {
   }
 }
 
+namespace {
+
+std::string metrics_json(const std::vector<Report::Metric>& ms) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += '"';
+    out += json_escape(ms[i].name);
+    out += "\": {\"value\": ";
+    out += number(ms[i].value);
+    out += ", \"unit\": \"";
+    out += json_escape(ms[i].unit);
+    out += "\"}";
+  }
+  return out + "}";
+}
+
+}  // namespace
+
 std::string Report::json() const {
   std::string out = "{\"correct\": ";
   out += correct_ ? "true" : "false";
   out += ", \"attempted\": " + std::to_string(attempted_);
   out += ", \"failed\": " + std::to_string(failed_);
-  out += ", \"metrics\": {";
-  for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    const Metric& m = metrics_[i];
-    if (i > 0) out += ", ";
-    out += '"';
-    out += json_escape(m.name);
-    out += "\": {\"value\": ";
-    out += number(m.value);
-    out += ", \"unit\": \"";
-    out += json_escape(m.unit);
-    out += "\"}";
-  }
-  out += "}}";
+  out += ", \"metrics\": " + metrics_json(metrics_) + "}";
   return out;
 }
 
+bool Report::write_layers(const std::string& path,
+                          const std::string& workload) const {
+  std::vector<Metric> all = metrics_;
+  all.insert(all.end(), details_.begin(), details_.end());
+  std::ofstream out(path);
+  out << "{\"workload\": \"" << json_escape(workload)
+      << "\", \"metrics\": " << metrics_json(all) << "}\n";
+  return bool(out);
+}
+
 void Report::print_table() const {
-  for (const Metric& m : metrics_)
-    std::fprintf(stderr, "  %-32s %14.6g %s\n", m.name.c_str(), m.value,
-                 m.unit.c_str());
+  for (const auto* list : {&metrics_, &details_})
+    for (const Metric& m : *list)
+      std::fprintf(stderr, "  %-32s %14.6g %s%s\n", m.name.c_str(), m.value,
+                   m.unit.c_str(), list == &details_ ? "  (layers file)" : "");
   std::fprintf(stderr, "  attempted %llu, failed %llu, correct %s\n",
                (unsigned long long)attempted_, (unsigned long long)failed_,
                correct_ ? "yes" : "NO");

@@ -37,7 +37,8 @@ struct Args {
   std::uint64_t seed = 0;
   double seconds = 10;  ///< measured (timed) phase length
   bool trace = false;
-  std::string trace_file;  ///< where a traced run writes its spans
+  std::string trace_file;   ///< where a traced run writes its spans
+  std::string layers_file;  ///< where a traced run writes every layer metric
 };
 
 using gofmm::percentile;
@@ -53,10 +54,24 @@ int default_threads();
 
 /// The result record: correctness, operation counts and named metrics,
 /// printed as one JSON object on the last line of standard output.
+///
+/// Every workload prints the same metric names (the ones BENCHMARK.json
+/// lists), so a traced run splits its layer figures in two: `metric()` for
+/// the layers every workload runs, `detail()` for the layers only some
+/// workloads run (factorization, solve, hodlr, service, ...). Details go to
+/// the table and the layers file, not to the last line.
 class Report {
  public:
+  struct Metric {
+    std::string name;
+    double value;
+    std::string unit;
+  };
+
   /// Records a metric; the value is printed with all its digits.
   void metric(const std::string& name, double value, const std::string& unit);
+  /// Records a layer figure of this workload only.
+  void detail(const std::string& name, double value, const std::string& unit);
   /// Records a correctness check; a failing check is logged to stderr and
   /// makes the run incorrect.
   void check(bool ok, const std::string& what);
@@ -67,19 +82,17 @@ class Report {
   }
   [[nodiscard]] bool correct() const { return correct_; }
   [[nodiscard]] std::string json() const;
+  /// Writes metrics and details as one JSON object; false on I/O failure.
+  bool write_layers(const std::string& path, const std::string& workload) const;
   /// Human-readable metric table (stderr).
   void print_table() const;
 
  private:
-  struct Metric {
-    std::string name;
-    double value;
-    std::string unit;
-  };
   bool correct_ = true;
   std::uint64_t attempted_ = 0;
   std::uint64_t failed_ = 0;
   std::vector<Metric> metrics_;
+  std::vector<Metric> details_;
 };
 
 /// In-memory span recorder of traced runs. A span is one call into a

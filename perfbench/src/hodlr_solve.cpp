@@ -29,7 +29,6 @@ constexpr int kRhsBlocks = 4;
 constexpr int kSolvesPerStep = 32;
 constexpr index_t kRhsPool = 64;
 constexpr index_t kErrRows = 1024;  // sampled rows of the ε₂ estimate
-constexpr double kMaxRelErr = 5e-3;
 // HODLR solves (Woodbury elimination with explicit bases) are a known
 // distance from HODLR's own apply(): ~1e-12 at λ = 0.1 but up to ~2e-4 near
 // λ = 1e-3, erratically. The budget-0 1e-8 bound does not apply; this one
@@ -116,18 +115,17 @@ void run_hodlr_solve(const Args& args, Report& report) {
     const double setup_s = plain_setups()[0];
     matvec(0);
     std::vector<double> tm;
+    const auto start = Clock::now();
     const LadderResult lad =
         run_ladder(*op, lambdas, rhs, kSolvesPerStep, args.seconds, 3,
                    kMaxResidual, report, tracer, matvecs_into(tm));
-    const double eps = check_outputs();
-    report.metric("setup_s", setup_s, "s");
-    report.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    report.metric("matvec_p50_ms", 1e3 * percentile(tm, 50), "ms");
-    report.metric("matvec_p90_ms", 1e3 * percentile(tm, 90), "ms");
-    report.metric("matvec_rel_err", eps, "ratio");
-    report.metric("retune_p50_ms", 1e3 * percentile(lad.retune_s, 50), "ms");
-    report.metric("solve_p50_ms", 1e3 * percentile(lad.solve_s, 50), "ms");
-    report.metric("solve_p90_ms", 1e3 * percentile(lad.solve_s, 90), "ms");
+    const double wall = seconds_between(start, Clock::now());
+    // The timed calls are the matvecs, the retunes and the solves.
+    const double calls =
+        double(tm.size() + lad.retune_s.size() + lad.solve_s.size());
+    const double rss = peak_rss_mb();
+    report_end_to_end(report, setup_s, rss, lad.solve_s, calls / wall,
+                      check_outputs());
     return;
   }
 
@@ -147,14 +145,14 @@ void run_hodlr_solve(const Args& args, Report& report) {
   const gofmm::FactorizationStats fs = op->factorization_stats();
   const double build_s = tracer.self_seconds("build");
   const double factorize_s = tracer.self_seconds("factorize");
-  report.metric("hodlr.build_s", build_s, "s");
-  report.metric("hodlr.entries", double(op->stats().entries), "count");
-  report.metric("hodlr.avg_rank", op->stats().avg_rank, "rank");
+  report.detail("hodlr.build_s", build_s, "s");
+  report.detail("hodlr.entries", double(op->stats().entries), "count");
+  report.detail("hodlr.avg_rank", op->stats().avg_rank, "rank");
   report_oracle(report, *oracle);
-  report.metric("factorization.factorize_s", factorize_s, "s");
-  report.metric("factorization.gflops",
+  report.detail("factorization.factorize_s", factorize_s, "s");
+  report.detail("factorization.gflops",
                 double(fs.flops) * 1e-9 / factorize_s, "GF/s");
-  report.metric("factorization.memory_mb", double(fs.memory_bytes) / 1e6,
+  report.detail("factorization.memory_mb", double(fs.memory_bytes) / 1e6,
                 "MB");
 
   std::vector<double> traced_mv;
@@ -162,23 +160,23 @@ void run_hodlr_solve(const Args& args, Report& report) {
       run_ladder(*op, lambdas, rhs, kSolvesPerStep, args.seconds / 2, 2,
                  kMaxResidual, report, tracer, matvecs_into(traced_mv));
   const double apply_s = percentile(tracer.durations("apply"), 50);
-  const double eval_gflops = double(ws.last.flops) * 1e-9 / apply_s;
-  report.metric("evaluator.flops", double(ws.last.flops), "flop");
-  report.metric("evaluator.gflops", eval_gflops, "GF/s");
-  report.metric("evaluator.peak_frac", eval_gflops / gemm_peak, "ratio");
+  report_evaluator(report, double(ws.last.flops), apply_s, gemm_peak);
   const double retune_s = percentile(tracer.durations("refactorize"), 50);
   const double solve_s = percentile(tracer.durations("solve"), 50);
-  report.metric("factorization.retune_gflops",
+  report.detail("factorization.retune_gflops",
                 double(lad.retune_flops) * 1e-9 / retune_s, "GF/s");
-  report.metric("solve.gbytes_per_s",
+  report.detail("solve.gbytes_per_s",
                 double(op->factorization_stats().memory_bytes) * 1e-9 / solve_s,
                 "GB/s-computed");
-  report.metric("la.larft_calls", double(lad.larft_calls), "count");
-  report.metric("solve.max_residual", lad.max_residual, "ratio");
+  report.detail("la.larft_calls", double(lad.larft_calls), "count");
+  report.detail("solve.max_residual", lad.max_residual, "ratio");
+  report.detail("matvec_p50_ms", 1e3 * apply_s, "ms");
+  report.detail("retune_p50_ms", 1e3 * retune_s, "ms");
   report.metric("trace.setup_overhead",
                 (build_s + factorize_s) / plain_setup, "ratio");
-  report.metric("trace.op_overhead", apply_s / percentile(plain_mv, 50),
+  report.metric("trace.op_overhead", solve_s / percentile(plain.solve_s, 50),
                 "ratio");
+  report.metric("op_p90_ms", 1e3 * percentile(plain.solve_s, 90), "ms");
   check_outputs();
 
   {
@@ -191,17 +189,19 @@ void run_hodlr_solve(const Args& args, Report& report) {
     });
     const LadderResult lad1 = run_ladder(*op, lambdas, rhs, kSolvesPerStep,
                                          0, 2, kMaxResidual, report, tracer);
-    report.metric("scaling.compress", build1 / plain_build, "ratio");
-    report.metric("scaling.matvec",
+    report.metric("scaling.setup", (build1 + factorize1) / plain_setup,
+                  "ratio");
+    report.metric("scaling.op",
+                  percentile(lad1.solve_s, 50) / percentile(plain.solve_s, 50),
+                  "ratio");
+    report.detail("scaling.compress", build1 / plain_build, "ratio");
+    report.detail("scaling.matvec",
                   percentile(mv1, 50) / percentile(plain_mv, 50), "ratio");
-    report.metric("scaling.factorize", factorize1 / plain_factorize, "ratio");
-    report.metric(
+    report.detail("scaling.factorize", factorize1 / plain_factorize, "ratio");
+    report.detail(
         "scaling.retune",
         percentile(lad1.retune_s, 50) / percentile(plain.retune_s, 50),
         "ratio");
-    report.metric("scaling.solve",
-                  percentile(lad1.solve_s, 50) / percentile(plain.solve_s, 50),
-                  "ratio");
   }
   if (!args.trace_file.empty())
     report.check(tracer.write_chrome_trace(args.trace_file),

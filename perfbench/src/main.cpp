@@ -1,13 +1,14 @@
 // perfbench: the repository benchmark program.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//             [--trace-file PATH]
+//             [--trace-file PATH] [--layers-file PATH]
 //
 // Runs one workload (fmm_matvec, ulv_solve, hodlr_solve, service_mix),
 // checks its outputs, and prints one JSON object as the last line of
 // standard output: {"correct", "attempted", "failed", "metrics"}. With
 // --trace 0 the metrics are the end-to-end ones, measured untraced; with
-// --trace 1 they are the per-layer ones of a traced run. Progress and a
+// --trace 1 they are the per-layer ones of a traced run, which also writes
+// every layer figure of the workload to --layers-file. Progress and a
 // human-readable table go to stderr. Exit code: 0 when every check passed,
 // 1 when a check failed (the JSON still says which way), 2 on bad usage or
 // an exception (no JSON).
@@ -26,7 +27,8 @@ namespace {
 int usage(const char* why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload NAME --seed N "
-               "--seconds S --trace 0|1 [--trace-file PATH]\n",
+               "--seconds S --trace 0|1 [--trace-file PATH] "
+               "[--layers-file PATH]\n",
                why);
   return 2;
 }
@@ -62,6 +64,8 @@ int main(int argc, char** argv) {
       args.trace = value == "1";
     } else if (flag == "--trace-file") {
       args.trace_file = value;
+    } else if (flag == "--layers-file") {
+      args.layers_file = value;
     } else {
       return usage(("unknown flag " + flag).c_str());
     }
@@ -78,6 +82,9 @@ int main(int argc, char** argv) {
                  e.what());
     return 2;
   }
+  if (args.trace && !args.layers_file.empty())
+    report.check(report.write_layers(args.layers_file, args.workload),
+                 "cannot write " + args.layers_file);
   report.print_table();
   std::printf("%s\n", report.json().c_str());
   return report.correct() ? 0 : 1;

@@ -24,6 +24,15 @@ void run_service_mix(const Args& args, Report& report);
 /// Set-ups per run: setup_s is the median of this many from-scratch builds.
 inline constexpr int kSetupReps = 3;
 
+/// Correctness bound on the sampled ε₂ (matvec_rel_err) of the workloads
+/// at accuracy-seeking configurations (fmm_matvec, hodlr_solve).
+inline constexpr double kMaxRelErr = 5e-3;
+/// The bound for the budget-0 operators (ulv_solve, service_mix): without
+/// near-field blocks their ε₂ is large (COVTYPE about 0.06 at N = 1024 and
+/// 0.5 at N = 16384), so only an operator no closer to K than the zero
+/// operator (ε₂ = 1) is plainly wrong.
+inline constexpr double kMaxRelErrBudget0 = 1;
+
 /// An independent 64-bit stream of the run seed (stream ids are fixed per
 /// use, so one input never shifts when another input changes).
 [[nodiscard]] inline std::uint64_t derive(std::uint64_t seed,
@@ -80,8 +89,18 @@ class ThreadBudget {
   int saved_;
 };
 
-/// Per-layer metrics of a compression as the program reports them
-/// (CompressionStats), under the tree.* and core.* names.
+/// The end-to-end metrics of an untraced run, the same five on every
+/// workload: set-up median, `rss_mb` (peak RSS, taken before the ε₂ probe,
+/// whose dense block of exact rows is the benchmark's own), p50 of `op_s`
+/// (per-call seconds of the workload's most frequent timed call),
+/// `ops_per_s` (timed calls per second of the timed phase) and the sampled
+/// ε₂ `rel_err`.
+void report_end_to_end(Report& report, double setup_s, double rss_mb,
+                       const std::vector<double>& op_s, double ops_per_s,
+                       double rel_err);
+
+/// Per-layer figures of a compression as the program reports them
+/// (CompressionStats), as tree.* and core.* details.
 void report_compression(Report& report, const gofmm::CompressionStats& s);
 
 /// Oracle counters of a traced run under the matrices.* names.
@@ -89,6 +108,10 @@ void report_oracle(Report& report, const CountingOracle<double>& oracle);
 
 /// la.gemm_peak_gflops, and the scaling thread counts.
 void report_machine(Report& report, double gemm_peak);
+
+/// The evaluator metrics of `flops` per call at `seconds` per call.
+void report_evaluator(Report& report, double flops, double seconds,
+                      double gemm_peak);
 
 /// The repeated-apply determinism check on one product `u` of an rhs
 /// block: the block's first product is kept in `first`, and every later
