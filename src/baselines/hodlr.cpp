@@ -43,7 +43,7 @@ class HodlrView final : public HssView<T> {
     return nodes_[std::size_t(parent)]->u12.cols();
   }
 
-  BasisKind basis_kind(index_t) const override { return BasisKind::Explicit; }
+  BasisKind basis_kind() const override { return BasisKind::Explicit; }
 
   la::Matrix<T> basis(index_t id) const override {
     const HssTopoNode& t = this->topo_[std::size_t(id)];

@@ -39,7 +39,7 @@ class RandHssView final : public HssView<T> {
     return index_t(nodes_[std::size_t(id)]->skel.size());
   }
 
-  BasisKind basis_kind(index_t) const override { return BasisKind::Nested; }
+  BasisKind basis_kind() const override { return BasisKind::Nested; }
 
   la::Matrix<T> basis(index_t id) const override {
     return nodes_[std::size_t(id)]->u;

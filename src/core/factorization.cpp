@@ -1,5 +1,6 @@
 // Shared ULV factorization engine over the backend-neutral HssView (see
-// factorization.hpp for the algebra). Two elimination structures:
+// factorization.hpp for the algebra). The view's basis kind picks one of
+// two elimination structures:
 //
 // ORTHOGONAL (Nested views). Per node the stacked parent-facing basis is
 // QR-factored ONCE, V = Q [R; 0]; rotating the node's block by Qᵀ(·)Q
@@ -10,14 +11,13 @@
 // the rotations, rotated leaf blocks, and reduced couplings are all
 // λ-independent — refactorize(λ') re-factors only rotated diagonal blocks.
 //
-// WOODBURY (Explicit views, or forced). Bottom-up block elimination:
-// leaves are factored exactly, every interior node folds its children's
-// sibling coupling in with a Woodbury capacitance system
+// WOODBURY (Explicit views). Bottom-up block elimination: leaves are
+// factored exactly, every interior node folds its children's sibling
+// coupling in with a Woodbury capacitance system
 //
 //   C = I + blkdiag(S_l, S_r) M,   M = [[0, B], [Bᵀ, 0]],
 //
-// and the per-node solve operators Φ and Grams S telescope upward (Nested
-// views) or come from subtree solves (Explicit views).
+// and the per-node solve operators Φ and Grams S come from subtree solves.
 //
 // Both paths are λ-oblivious about where their inputs come from: during
 // construction every payload is fetched from the view and cached;
@@ -111,8 +111,8 @@ class DemotedHssView final : public HssView<float> {
   [[nodiscard]] index_t basis_rank(index_t id) const override {
     return src_.basis_rank(id);
   }
-  [[nodiscard]] BasisKind basis_kind(index_t id) const override {
-    return src_.basis_kind(id);
+  [[nodiscard]] BasisKind basis_kind() const override {
+    return src_.basis_kind();
   }
   [[nodiscard]] la::Matrix<float> basis(index_t id) const override {
     return la::convert<float>(src_.basis(id));
@@ -128,7 +128,7 @@ class DemotedHssView final : public HssView<float> {
 }  // namespace
 
 // ======================================================================
-// Construction: topology snapshot, mode resolution, first elimination.
+// Construction: topology snapshot, first elimination.
 // ======================================================================
 
 template <typename T>
@@ -169,7 +169,6 @@ void UlvFactorization<T>::snapshot_topology(const HssView<T>& view) {
   // accounting — trees with uneven leaf depths must not be overcharged.
   subtree_depth_.assign(topo_.size(), 1);
   declared_rank_.assign(topo_.size(), 0);
-  basis_kind_.assign(topo_.size(), BasisKind::Nested);
   for (const index_t id : post_) {
     const HssTopoNode& nd = topo_[std::size_t(id)];
     if (!nd.is_leaf())
@@ -177,14 +176,13 @@ void UlvFactorization<T>::snapshot_topology(const HssView<T>& view) {
           1 + std::max(subtree_depth_[std::size_t(nd.left)],
                        subtree_depth_[std::size_t(nd.right)]);
     declared_rank_[std::size_t(id)] = view.basis_rank(id);
-    basis_kind_[std::size_t(id)] = view.basis_kind(id);
   }
 }
 
 template <typename T>
 UlvFactorization<T>::UlvFactorization(const HssView<T>& view, T regularization,
                                       FactorizeOptions options)
-    : options_(options) {
+    : options_(options), orthogonal_(view.basis_kind() == BasisKind::Nested) {
   Timer timer;
 
   // Precision normalisation / the mixed-precision delegate. On a float
@@ -212,17 +210,7 @@ UlvFactorization<T>::UlvFactorization(const HssView<T>& view, T regularization,
 
   snapshot_topology(view);
 
-  bool all_nested = true;
-  for (const BasisKind kind : basis_kind_)
-    if (kind == BasisKind::Explicit) all_nested = false;
-  check<Error>(options.mode != UlvMode::Orthogonal || all_nested,
-               "UlvFactorization: UlvMode::Orthogonal requires nested bases "
-               "(Explicit/HODLR views eliminate through UlvMode::Woodbury)");
-  mode_ = options.mode == UlvMode::Woodbury
-              ? UlvMode::Woodbury
-              : (all_nested ? UlvMode::Orthogonal : UlvMode::Woodbury);
-
-  if (mode_ == UlvMode::Orthogonal) {
+  if (orthogonal_) {
     on_.assign(topo_.size(), ONode{});
     slots_.assign(topo_.size(), {});
     build_orthogonal(view);
@@ -231,7 +219,7 @@ UlvFactorization<T>::UlvFactorization(const HssView<T>& view, T regularization,
     stats_.flops += build_flops;
   } else {
     fn_.assign(topo_.size(), FNode{});
-    cache_.assign(topo_.size(), PayloadCache{});
+    leaf_k_.assign(topo_.size(), la::Matrix<T>());
     // First elimination: view_ is live, so payload reads fetch-and-cache.
     view_ = &view;
     eliminate_woodbury(regularization);
@@ -250,7 +238,7 @@ void UlvFactorization<T>::refactorize(T regularization) {
     return;
   }
   Timer timer;
-  if (mode_ == UlvMode::Orthogonal)
+  if (orthogonal_)
     eliminate_orthogonal(regularization);
   else
     eliminate_woodbury(regularization);
@@ -261,13 +249,12 @@ void UlvFactorization<T>::refactorize(T regularization) {
 template <typename T>
 void UlvFactorization<T>::adopt_low_stats(T regularization) {
   // Mirror the float engine's state so every double-facing accessor
-  // (stats, logdet, inertia, mode) reports the mixed factorization
+  // (stats, logdet, inertia) reports the mixed factorization
   // without consulting low_ again. num_refactorizations rides along from
   // low_'s own counter; memory_bytes already reflects sizeof(float).
   stats_ = low_->stats();
   stats_.precision = Precision::MixedF32;
   stats_.regularization = double(regularization);
-  mode_ = low_->mode();
   logdet_ = low_->log_abs_det();
   det_sign_ = low_->det_sign();
   negative_total_ = stats_.negative_eigenvalues;
@@ -295,7 +282,7 @@ void UlvFactorization<T>::reset_lambda_stats(T regularization) {
 
 template <typename T>
 void UlvFactorization<T>::finish_stats() {
-  stats_.orthogonal = mode_ == UlvMode::Orthogonal;
+  stats_.orthogonal = orthogonal_;
   stats_.exact_inertia = stats_.orthogonal;
   if (stats_.orthogonal) {
     // Orthogonal similarity preserves inertia and the Schur chain adds it
@@ -311,8 +298,7 @@ void UlvFactorization<T>::finish_stats() {
     // A leaf with a negative LDLᵀ eigenvalue is a principal submatrix of
     // the regularized operator, so (Cauchy interlacing) the operator is
     // indefinite; an even count of sign flips in the capacitance LUs can
-    // still hide indefiniteness, hence the inverse-power probe callers run
-    // on top (make_preconditioner).
+    // still hide indefiniteness, so the count is only a lower bound.
     stats_.negative_eigenvalues = leaf_negative_;
     stats_.positive_definite = det_sign_ > 0 && leaf_negative_ == 0;
   }
@@ -340,9 +326,8 @@ void UlvFactorization<T>::finish_stats() {
   }
   for (const std::vector<index_t>& s : slots_)
     stats_.memory_bytes += std::uint64_t(s.size()) * sizeof(index_t);
-  for (const PayloadCache& c : cache_)
-    stats_.memory_bytes +=
-        std::uint64_t(c.leaf_k.size() + c.transfer.size()) * sizeof(T);
+  for (const la::Matrix<T>& k0 : leaf_k_)
+    stats_.memory_bytes += std::uint64_t(k0.size()) * sizeof(T);
 }
 
 template <typename T>
@@ -933,7 +918,7 @@ double UlvFactorization<T>::rotation_orthogonality_error() const {
 }
 
 // ======================================================================
-// Woodbury elimination (Explicit views, or forced for verification).
+// Woodbury elimination (Explicit views).
 // ======================================================================
 
 template <typename T>
@@ -946,11 +931,9 @@ void UlvFactorization<T>::eliminate_woodbury(T regularization) {
       factor_leaf(id, regularization);
     else
       factor_internal(id);
-    // Leaves of every view and all Explicit-basis nodes get their
-    // parent-facing Φ from a subtree solve (for a leaf that is exactly the
-    // leaf-factor solve); Nested interior nodes telescoped theirs above.
-    if (nd.parent != HssTopoNode::kNone && declared_rank_[std::size_t(id)] > 0 &&
-        (nd.is_leaf() || basis_kind_[std::size_t(id)] == BasisKind::Explicit))
+    // Every node with a parent-facing basis gets its Φ from a subtree
+    // solve (for a leaf that is exactly the leaf-factor solve).
+    if (nd.parent != HssTopoNode::kNone && declared_rank_[std::size_t(id)] > 0)
       attach_explicit_basis(id);
   }
 
@@ -962,13 +945,12 @@ void UlvFactorization<T>::factor_leaf(index_t id, T regularization) {
   const HssTopoNode& nd = topo_[std::size_t(id)];
   FNode& f = fn_[std::size_t(id)];
 
+  la::Matrix<T>& k0 = leaf_k_[std::size_t(id)];
   if (view_ != nullptr) {
-    cache_[std::size_t(id)].leaf_k = view_->leaf_diag(id);
-    check<StateError>(cache_[std::size_t(id)].leaf_k.rows() == nd.count &&
-                          cache_[std::size_t(id)].leaf_k.cols() == nd.count,
+    k0 = view_->leaf_diag(id);
+    check<StateError>(k0.rows() == nd.count && k0.cols() == nd.count,
                       "UlvFactorization: leaf diagonal block has wrong shape");
   }
-  const la::Matrix<T>& k0 = cache_[std::size_t(id)].leaf_k;
 
   la::Matrix<T> d = k0;
   for (index_t i = 0; i < nd.count; ++i) d(i, i) += regularization;
@@ -1010,24 +992,15 @@ template <typename T>
 void UlvFactorization<T>::factor_internal(index_t id) {
   const HssTopoNode& nd = topo_[std::size_t(id)];
   FNode& f = fn_[std::size_t(id)];
-  const index_t lid = nd.left;
-  const index_t rid = nd.right;
-  const FNode& fl = fn_[std::size_t(lid)];
-  const FNode& fr = fn_[std::size_t(rid)];
-  const index_t nl = topo_[std::size_t(lid)].count;
-  const index_t nr = topo_[std::size_t(rid)].count;
+  const FNode& fl = fn_[std::size_t(nd.left)];
+  const FNode& fr = fn_[std::size_t(nd.right)];
   const index_t rl = fl.v.cols();
   const index_t rr = fr.v.cols();
 
-  // A child's basis is "complete" when its built V spans its declared
-  // rank — always true for skeletonized subtrees and explicit bases; rank
-  // 0 (never skeletonized, e.g. the top levels of a budget > 0 FMM
-  // partition) degrades to a block-diagonal step here.
-  const bool complete_l = rl == declared_rank_[std::size_t(lid)];
-  const bool complete_r = rr == declared_rank_[std::size_t(rid)];
-  const bool couple = complete_l && complete_r && rl > 0 && rr > 0;
-
-  if (couple) {
+  // Every child basis is attached at its declared rank
+  // (attach_explicit_basis checks the shape); a rank-0 child has none, and
+  // the step degrades to block-diagonal.
+  if (rl > 0 && rr > 0) {
     // Sibling coupling through the children's bases, B = K(l̃, r̃), and the
     // capacitance C = I + blkdiag(S_l, S_r) M = [[I, S_l B], [S_r Bᵀ, I]].
     // An EMPTY coupling payload means B = I by convention (HODLR), so the
@@ -1076,104 +1049,6 @@ void UlvFactorization<T>::factor_internal(index_t id) {
     stats_.num_couplings += 1;
     stats_.max_coupling_size = std::max(stats_.max_coupling_size, rl + rr);
   }
-
-  // Parent-facing factors via the telescoping identities (Nested views;
-  // Explicit nodes attach theirs by subtree solve instead)
-  //   V_p = blkdiag(V_l, V_r) E,
-  //   Φ_p = blkdiag(Φ_l, Φ_r) (E − M C⁻¹ Ŝ E),
-  //   S_p = (Ŝ E)ᵀ (E − M C⁻¹ Ŝ E),         Ŝ = blkdiag(S_l, S_r),
-  // each O(|β| r²) given the children's factors.
-  if (nd.parent == HssTopoNode::kNone ||
-      basis_kind_[std::size_t(id)] != BasisKind::Nested)
-    return;
-  const index_t rp = declared_rank_[std::size_t(id)];
-  if (rp == 0 || !complete_l || !complete_r || rl + rr == 0) return;
-  if (view_ != nullptr) {
-    cache_[std::size_t(id)].transfer = view_->basis(id);
-    check<StateError>(cache_[std::size_t(id)].transfer.rows() == rl + rr &&
-                          cache_[std::size_t(id)].transfer.cols() == rp,
-                      "UlvFactorization: projection/basis rank mismatch");
-  }
-  const la::Matrix<T>& e = cache_[std::size_t(id)].transfer;
-  const la::Matrix<T> e_top = e.block(0, 0, rl, rp);
-  const la::Matrix<T> e_bot = e.block(rl, 0, rr, rp);
-
-  // V_p is λ-independent, so only the first elimination builds it;
-  // refactorize() reuses the telescoped basis untouched.
-  if (view_ != nullptr) {
-    f.v.resize(nd.count, rp);
-    if (rl > 0) {
-      la::Matrix<T> top(nl, rp);
-      la::gemm(la::Op::None, la::Op::None, T(1), fl.v, e_top, T(0), top);
-      put_rows(f.v, 0, top);
-      stats_.flops += la::FlopCounter::gemm_flops(nl, rp, rl);
-    }
-    if (rr > 0) {
-      la::Matrix<T> bot(nr, rp);
-      la::gemm(la::Op::None, la::Op::None, T(1), fr.v, e_bot, T(0), bot);
-      put_rows(f.v, nl, bot);
-      stats_.flops += la::FlopCounter::gemm_flops(nr, rp, rr);
-    }
-  }
-
-  la::Matrix<T> se(rl + rr, rp);
-  if (rl > 0) {
-    la::Matrix<T> t(rl, rp);
-    la::gemm(la::Op::None, la::Op::None, T(1), fl.s, e_top, T(0), t);
-    put_rows(se, 0, t);
-  }
-  if (rr > 0) {
-    la::Matrix<T> t(rr, rp);
-    la::gemm(la::Op::None, la::Op::None, T(1), fr.s, e_bot, T(0), t);
-    put_rows(se, rl, t);
-  }
-
-  la::Matrix<T> fmat = e;  // F = E − M C⁻¹ Ŝ E (couple) or E (diagonal)
-  if (couple) {
-    la::Matrix<T> z = se;
-    la::getrs(f.cap, f.cap_pivots, z);
-    stats_.flops += la::FlopCounter::gemm_flops(rl + rr, rp, rl + rr);
-    const la::Matrix<T> z_top = z.block(0, 0, rl, rp);
-    const la::Matrix<T> z_bot = z.block(rl, 0, rr, rp);
-    la::Matrix<T> m_top;  // B z_bot
-    la::Matrix<T> m_bot;  // Bᵀ z_top
-    if (f.identity_coupling) {
-      m_top = z_bot;
-      m_bot = z_top;
-    } else {
-      m_top.resize(rl, rp);
-      la::gemm(la::Op::None, la::Op::None, T(1), f.coupling, z_bot, T(0),
-               m_top);
-      m_bot.resize(rr, rp);
-      la::gemm(la::Op::Trans, la::Op::None, T(1), f.coupling, z_top, T(0),
-               m_bot);
-    }
-    for (index_t j = 0; j < rp; ++j) {
-      for (index_t i = 0; i < rl; ++i) fmat(i, j) -= m_top(i, j);
-      for (index_t i = 0; i < rr; ++i) fmat(rl + i, j) -= m_bot(i, j);
-    }
-  }
-
-  f.phi.resize(nd.count, rp);
-  if (rl > 0) {
-    const la::Matrix<T> f_top = fmat.block(0, 0, rl, rp);
-    la::Matrix<T> top(nl, rp);
-    la::gemm(la::Op::None, la::Op::None, T(1), fl.phi, f_top, T(0), top);
-    put_rows(f.phi, 0, top);
-    stats_.flops += la::FlopCounter::gemm_flops(nl, rp, rl);
-  }
-  if (rr > 0) {
-    const la::Matrix<T> f_bot = fmat.block(rl, 0, rr, rp);
-    la::Matrix<T> bot(nr, rp);
-    la::gemm(la::Op::None, la::Op::None, T(1), fr.phi, f_bot, T(0), bot);
-    put_rows(f.phi, nl, bot);
-    stats_.flops += la::FlopCounter::gemm_flops(nr, rp, rr);
-  }
-
-  f.s.resize(rp, rp);
-  la::gemm(la::Op::Trans, la::Op::None, T(1), se, fmat, T(0), f.s);
-  stats_.flops += la::FlopCounter::gemm_flops(rp, rp, rl + rr);
-  symmetrize(f.s);
 }
 
 template <typename T>
@@ -1323,7 +1198,7 @@ la::Matrix<T> UlvFactorization<T>::solve(const la::Matrix<T>& b,
     }
   }
 
-  if (mode_ == UlvMode::Orthogonal) {
+  if (orthogonal_) {
     // Upward sweep (rotate, eliminate, park), then downward sweep
     // (back-substitute, rotate back). Nodes of one level own disjoint
     // workspace rows, so each level runs in parallel; every node performs
@@ -1425,7 +1300,7 @@ class GofmmHssView final : public HssView<T> {
     return index_t(kc_.data_[std::size_t(id)].skel.size());
   }
 
-  BasisKind basis_kind(index_t) const override { return BasisKind::Nested; }
+  BasisKind basis_kind() const override { return BasisKind::Nested; }
 
   la::Matrix<T> basis(index_t id) const override {
     // P_{α̃α}ᵀ at a leaf, the transfer map P_{α̃[l̃r̃]}ᵀ at interior nodes.
@@ -1584,30 +1459,10 @@ std::unique_ptr<CompressedMatrix<T>> make_preconditioner(
         op->factorize(lambda);
       else
         op->refactorize(lambda);
-      const FactorizationStats fs = op->factorization_stats();
-      ok = fs.positive_definite;
-      // The orthogonal engine's block inertia is an exact certificate
-      // (Haynsworth), so its verdict stands on its own. The Woodbury
-      // path's determinant-sign test can miss eigenvalue PAIRS, so back
-      // it up with an inverse power iteration: the largest-magnitude
-      // eigenvalue of (K̃ + λI)⁻¹ is 1/μ_min, and its Rayleigh quotient
-      // is negative exactly when an indefinite μ_min survived λ.
-      if (ok && !fs.exact_inertia) {
-        la::Matrix<T> y = la::Matrix<T>::random_normal(n, 1, coarse.seed + 17);
-        for (int it = 0; it < 8 && ok; ++it) {
-          y = op->solve(y);
-          const double nrm = la::nrm2(n, y.col(0));
-          if (nrm <= 0) {
-            ok = false;
-            break;
-          }
-          for (index_t i = 0; i < n; ++i) y(i, 0) = T(double(y(i, 0)) / nrm);
-        }
-        if (ok) {
-          la::Matrix<T> z = op->solve(y);
-          ok = la::dot(n, y.col(0), z.col(0)) > 0;
-        }
-      }
+      // A GOFMM compression always eliminates orthogonally, so the block
+      // inertia is an exact certificate (Haynsworth) and the verdict
+      // stands on its own.
+      ok = op->factorization_stats().positive_definite;
     } catch (const StateError&) {
       ok = false;  // a block refused to eliminate
     }

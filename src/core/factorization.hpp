@@ -8,20 +8,20 @@
 //   K̃_p = blkdiag(K̃_l, K̃_r) + W M Wᵀ,
 //   W = blkdiag(V_l, V_r),  M = [[0, B], [Bᵀ, 0]].
 //
-// Two elimination structures share this engine (UlvMode):
+// The view's basis kind fixes which of two elimination structures runs
+// (HssView::basis_kind); there is no option to override it:
 //
-// ORTHOGONAL (Nested views — GOFMM, randomized HSS; the default). Per node
-// the engine computes ONCE, at construction, the Householder QR of the
-// node's parent-facing basis, V = Q [R; 0] (la/qr.hpp), and stores Q in
-// geqrt form (la::QrFactors: reflectors plus the per-panel compact-WY T
-// factors), so every application during eliminate/solve sweeps is pure
-// GEMMs with zero larft rebuilds. Rotating a node's block by its Q zeroes
-// the off-diagonal
+// ORTHOGONAL (Nested views — GOFMM, randomized HSS). Per node the engine
+// computes ONCE, at construction, the Householder QR of the node's
+// parent-facing basis, V = Q [R; 0] (la/qr.hpp), and stores Q in geqrt form
+// (la::QrFactors: reflectors plus the per-panel compact-WY T factors), so
+// every application during eliminate/solve sweeps is pure GEMMs with zero
+// larft rebuilds. Rotating a node's block by its Q zeroes the off-diagonal
 // coupling below the leading r rows, so the trailing rows close over
 // themselves and are eliminated by a dense factorization of the rotated
-// trailing block Ĝ; the kept r rows carry a Schur complement and the
-// reduced basis R up to the parent, where the children's R factors stack
-// into the next basis ([R_l E_top; R_r E_bot]) and the reduced coupling
+// trailing block Ĝ; the kept r rows carry a Schur complement and the reduced
+// basis R up to the parent, where the children's R factors stack into the
+// next basis ([R_l E_top; R_r E_bot]) and the reduced coupling
 // B̃ = R_l B R_rᵀ — both λ-independent. Because Qᵀ(A + λI)Q = QᵀAQ + λI,
 // EVERYTHING except the small dense block factorizations is λ-independent:
 // rotations, rotated leaf blocks QᵀK(β,β)Q, reduced couplings, and the
@@ -34,11 +34,11 @@
 // inertia of the factored operator — positive_definite is a certificate,
 // not a heuristic, and signed log-determinants read off the blocks.
 //
-// WOODBURY (Explicit views — HODLR; forceable on any view). The classic
-// path: leaves factor K(β, β) + λI directly, every interior node folds the
-// sibling coupling in with a Woodbury capacitance system over the per-node
-// solve operators Φ_β = (K̃_β + λI)⁻¹ V_β and Grams S_β = V_βᵀ Φ_β. For
-// Explicit bases each Φ comes from a subtree solve — the classical
+// WOODBURY (Explicit views — HODLR). The classic path: leaves factor
+// K(β, β) + λI directly, every interior node folds the sibling coupling in
+// with a Woodbury capacitance system over the per-node solve operators
+// Φ_β = (K̃_β + λI)⁻¹ V_β and Grams S_β = V_βᵀ Φ_β. Explicit bases do not
+// telescope, so each Φ comes from a subtree solve — the classical
 // O(N log² N) HODLR direct factorization. Φ and S depend on λ, so a
 // Woodbury retune re-eliminates most of the factorization (still with
 // zero oracle traffic, against the construction-time payload snapshot).
@@ -51,9 +51,9 @@
 //
 // solve() runs level-synchronous sweeps: nodes of one level touch disjoint
 // tree-ordered row ranges, so each level runs under an OpenMP parallel-for
-// with a barrier between levels (orthogonal mode sweeps up — rotate,
-// eliminate — then down — back-substitute, rotate back; Woodbury mode is
-// the single bottom-up downdate sweep). Each node performs a fixed GEMM
+// with a barrier between levels (the orthogonal structure sweeps up —
+// rotate, eliminate — then down — back-substitute, rotate back; Woodbury
+// is the single bottom-up downdate sweep). Each node performs a fixed GEMM
 // sequence on its own rows regardless of thread count or schedule, so the
 // parallel sweep is bit-identical to the sequential recursion
 // (SweepMode::Sequential keeps the recursion for verification).
@@ -98,18 +98,18 @@ class UlvFactorization {
   /// LDLᵀ block path unless `options.elimination` forces Cholesky. Throws
   /// StateError when a block refuses to eliminate (Cholesky mode and not
   /// positive definite, or exactly singular under LDLᵀ) — adjust λ in
-  /// those cases — and Error when options.mode forces Orthogonal on a view
-  /// with Explicit (non-nested) bases.
+  /// those cases. The view's basis_kind() selects the elimination
+  /// structure: orthogonal for Nested bases, Woodbury for Explicit ones.
   UlvFactorization(const HssView<T>& view, T regularization,
                    FactorizeOptions options = {});
 
-  /// Re-eliminates with a new λ. Orthogonal mode re-factors ONLY the small
-  /// rotated diagonal blocks (λI commutes through the stored rotations);
-  /// Woodbury mode re-runs the elimination over the payload snapshot. In
-  /// both modes there is zero view or oracle traffic and the result is
-  /// bit-identical to constructing a fresh factorization of the same view
-  /// at the new λ. On throw (same conditions as the constructor) the
-  /// factors are inconsistent and the factorization must be discarded.
+  /// Re-eliminates with a new λ. The orthogonal structure re-factors ONLY
+  /// the small rotated diagonal blocks (λI commutes through the stored
+  /// rotations); Woodbury re-runs the elimination over the payload
+  /// snapshot. Either way there is zero view or oracle traffic and the
+  /// result is bit-identical to constructing a fresh factorization of the
+  /// same view at the new λ. On throw (same conditions as the constructor)
+  /// the factors are inconsistent and the factorization must be discarded.
   void refactorize(T regularization);
 
   /// x = (K̃ + λI)⁻¹ b for N-by-r right-hand sides — one blocked sweep with
@@ -124,26 +124,17 @@ class UlvFactorization {
   [[nodiscard]] double logdet() const;
 
   /// log |det(K̃ + λI)| — defined for indefinite operators too, from the
-  /// eliminated-block inertias (orthogonal mode) or the leaf LDLᵀ inertia
-  /// plus capacitance LU diagonals (Woodbury mode).
+  /// eliminated-block inertias (orthogonal structure) or the leaf LDLᵀ
+  /// inertia plus capacitance LU diagonals (Woodbury).
   [[nodiscard]] double log_abs_det() const { return logdet_; }
 
   /// Sign of det(K̃ + λI) (+1 or -1) as tracked through the elimination.
   [[nodiscard]] int det_sign() const { return det_sign_; }
 
-  /// Elimination structure actually used (UlvMode::Auto resolved at
-  /// construction: Orthogonal for all-Nested views, Woodbury otherwise).
-  [[nodiscard]] UlvMode mode() const { return mode_; }
-
-  /// Storage precision actually used (normalised at construction:
-  /// Precision::MixedF32 on a float operator IS the native path, so it
-  /// reports Precision::Double — "native scalar").
-  [[nodiscard]] Precision precision() const { return options_.precision; }
-
   /// Max over stored rotations of ‖QᵀQ − I‖_F, measured by applying each
   /// node's reflectors to the identity. Diagnostic for the orthogonality
   /// contract the λ-retune rests on (≤ dim·ε for Householder Q); returns 0
-  /// in Woodbury mode (no rotations are stored).
+  /// under Woodbury (no rotations are stored).
   [[nodiscard]] double rotation_orthogonality_error() const;
 
   /// Work counters of the latest factorize()/refactorize().
@@ -228,14 +219,6 @@ class UlvFactorization {
     la::Matrix<T> schur;        ///< S = Ê − F̂ w, the parent's diagonal block
   };
 
-  /// λ-independent payloads snapshotted from the view at construction so
-  /// the Woodbury refactorize() never touches the view again. (Bases live
-  /// in FNode::v, couplings in FNode::coupling.)
-  struct PayloadCache {
-    la::Matrix<T> leaf_k;    ///< leaf: K(β, β) WITHOUT the λ shift
-    la::Matrix<T> transfer;  ///< nested interior: the (r_l+r_r)-by-r_p map E
-  };
-
   /// Per-node scratch tally of one parallel elimination sweep: the nodes
   /// of a level eliminate concurrently into their own tally, then the
   /// tallies fold into logdet/inertia/stats in FIXED postorder — the
@@ -313,7 +296,8 @@ class UlvFactorization {
   index_t n_ = 0;
   index_t root_ = 0;
   FactorizeOptions options_;
-  UlvMode mode_ = UlvMode::Woodbury;  ///< resolved (never Auto) after ctor
+  /// The view's bases are Nested: eliminate orthogonally (else Woodbury).
+  bool orthogonal_ = false;
   /// Non-null only while the constructor runs (payload fetch phase).
   const HssView<T>* view_ = nullptr;
   std::vector<HssTopoNode> topo_;             ///< snapshot of the view
@@ -321,7 +305,6 @@ class UlvFactorization {
   std::vector<std::vector<index_t>> levels_;  ///< node ids by depth
   std::vector<index_t> subtree_depth_;        ///< levels below each node, >= 1
   std::vector<index_t> declared_rank_;        ///< basis_rank() snapshot
-  std::vector<BasisKind> basis_kind_;         ///< basis_kind() snapshot
   std::vector<index_t> perm_;                 ///< tree-ordering (may be empty)
   std::vector<FNode> fn_;                     ///< Woodbury factors
   std::vector<ONode> on_;                     ///< orthogonal factors
@@ -329,7 +312,10 @@ class UlvFactorization {
   /// an interior node's reduced system (children's kept slots, left then
   /// right). Leaves use their contiguous row range directly.
   std::vector<std::vector<index_t>> slots_;
-  std::vector<PayloadCache> cache_;
+  /// Woodbury: leaf K(β, β) WITHOUT the λ shift, snapshotted from the view
+  /// at construction so refactorize() never touches the view again. (Bases
+  /// live in FNode::v, couplings in FNode::coupling.)
+  std::vector<la::Matrix<T>> leaf_k_;
   /// The entire factorization when Precision::MixedF32 is requested on a
   /// double operator: a float engine built over a payload-demoting view
   /// (all storage — rotations, rotated blocks, couplings — at half the
@@ -349,17 +335,16 @@ extern template class UlvFactorization<double>;
 
 /// Builds the standard two-level preconditioner setup: compresses `k` at
 /// a coarse tolerance with budget 0 (pure HSS, so the ULV factorization
-/// captures every coupling), factorizes (K̃_coarse + λI) once, then
-/// escalates λ from `regularization` via cheap refactorize() calls — under
-/// the orthogonal engine each retry re-factors only the small rotated
-/// diagonal blocks — until the factorization is positive definite (PCG
-/// breaks on an indefinite preconditioner; the λ actually used is reported
-/// by factorization_stats().regularization). The orthogonal engine's block
-/// inertia is an exact certificate (exact_inertia), so the escalation
-/// trusts it directly; on the Woodbury path an inverse-power probe backs
-/// up the heuristic determinant test. The result plugs into
-/// preconditioned_solve() / conjugate_gradient() against a fine-tolerance
-/// operator of the same matrix.
+/// captures every coupling), factorizes (K̃_coarse + λI) once with default
+/// options, then escalates λ from `regularization` via cheap refactorize()
+/// calls — each retry re-factors only the small rotated diagonal blocks —
+/// until the factorization is positive definite (PCG breaks on an
+/// indefinite preconditioner; the λ actually used is reported by
+/// factorization_stats().regularization). A GOFMM compression always
+/// eliminates orthogonally, so its block inertia is an exact certificate
+/// (exact_inertia) and the escalation trusts it directly. The result plugs
+/// into preconditioned_solve() / conjugate_gradient() against a
+/// fine-tolerance operator of the same matrix.
 template <typename T>
 std::unique_ptr<CompressedMatrix<T>> make_preconditioner(
     std::shared_ptr<const SPDMatrix<T>> k, T regularization,

@@ -18,11 +18,12 @@
 //  * The HODLR baseline stores an explicit (non-nested) basis per level:
 //    K(l, r) ≈ U₁₂ V₁₂ᵀ is W M Wᵀ with V_l = U₁₂, V_r = V₁₂ᵀ, B = I.
 //
-// HssView flattens any of these into a dense-id node array plus four
-// payload fetchers (leaf diagonal, per-node basis/transfer, sibling
-// coupling). The engine consumes the view only while factoring; the
-// resulting factorization owns a topology snapshot and never touches the
-// view (or the backend) again, so solves outlive the view.
+// HssView flattens any of these into a dense-id node array, one basis kind
+// (which fixes the elimination structure), and four payload fetchers (leaf
+// diagonal, per-node basis/transfer, sibling coupling). The engine
+// consumes the view only while factoring; the resulting factorization owns
+// a topology snapshot and never touches the view (or the backend) again,
+// so solves outlive the view.
 #pragma once
 
 #include <vector>
@@ -48,16 +49,19 @@ struct HssTopoNode {
   [[nodiscard]] bool is_leaf() const { return left == kNone; }
 };
 
-/// How a node's parent-facing basis is represented by the view.
+/// How a view represents its nodes' parent-facing bases. One kind per
+/// view, and it fixes the engine's elimination structure.
 enum class BasisKind {
   /// basis(leaf) is the |β|-by-r interpolation basis; basis(interior) is
   /// the (r_l + r_r)-by-r_p transfer map E, so V_p = blkdiag(V_l, V_r) E
-  /// telescopes (GOFMM, randomized HSS) and the engine factors/solves in
-  /// O(N r² log N) / O(N r log N).
+  /// telescopes (GOFMM, randomized HSS). The engine eliminates with stored
+  /// orthogonal rotations and factors/solves in O(N r² log N) /
+  /// O(N r log N).
   Nested,
   /// basis(node) is the full |β|-by-r basis at every node (HODLR): no
-  /// telescoping, so the engine computes each Φ = K̃⁻¹ V by a subtree
-  /// solve — the classical O(N log² N) HODLR factorization cost.
+  /// telescoping, so the engine runs the Woodbury elimination and computes
+  /// each Φ = K̃⁻¹ V by a subtree solve — the classical O(N log² N) HODLR
+  /// factorization cost.
   Explicit,
 };
 
@@ -95,8 +99,8 @@ class HssView {
   /// ancestors to block-diagonal elimination.
   [[nodiscard]] virtual index_t basis_rank(index_t id) const = 0;
 
-  /// Representation of this node's parent-facing basis (see BasisKind).
-  [[nodiscard]] virtual BasisKind basis_kind(index_t id) const = 0;
+  /// Representation of every node's parent-facing basis (see BasisKind).
+  [[nodiscard]] virtual BasisKind basis_kind() const = 0;
 
   /// The basis payload: leaf / Explicit nodes return the |β|-by-r basis,
   /// Nested interior nodes the (r_l + r_r)-by-r_p transfer map.

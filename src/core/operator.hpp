@@ -68,30 +68,6 @@ enum class Elimination {
   PivotedLdlt,
 };
 
-/// Elimination structure of the hierarchical factorization engine.
-///
-/// The orthogonal structure stores, per node, the Householder rotation Q of
-/// the node's parent-facing basis (la/qr.hpp). Because Qᵀ(A + λI)Q =
-/// QᵀAQ + λI, every rotation, rotated leaf block, and reduced coupling is
-/// λ-independent: refactorize(λ') only re-factors small rotated diagonal
-/// blocks — no Gram chain, no basis work — and the block inertias sum to
-/// the EXACT operator inertia (Haynsworth). It requires nested bases, so
-/// Explicit (HODLR) views eliminate through the classic Woodbury structure
-/// instead (per-node solve operators Φ = (K̃+λI)⁻¹V and Grams, recomputed
-/// on every retune).
-enum class UlvMode {
-  /// Orthogonal for all-Nested views (GOFMM, randomized HSS), Woodbury for
-  /// views with Explicit bases (HODLR). The default.
-  Auto,
-  /// Force the stored-Q orthogonal elimination; throws gofmm::Error when
-  /// the view carries Explicit bases (they do not telescope, so λI cannot
-  /// commute through a fixed row elimination).
-  Orthogonal,
-  /// Force the classic Woodbury elimination on any view — the verification
-  /// path (results agree with Orthogonal to round-off, not bitwise).
-  Woodbury,
-};
-
 /// Storage precision policy of the hierarchical factorization engine.
 ///
 /// The ULV factors — stored rotations (la::QrFactors), rotated leaf
@@ -114,11 +90,11 @@ enum class Precision {
 /// Options of one factorize() call (see Factorizable::factorize).
 /// Aggregate with a fluent builder mirroring Config::defaults():
 /// `FactorizeOptions::defaults().with_precision(Precision::MixedF32)`.
+/// The elimination structure is not an option: the operator's basis kind
+/// fixes it (see HssView::basis_kind in core/hss_view.hpp).
 struct FactorizeOptions {
   /// Leaf elimination strategy (see Elimination).
   Elimination elimination = Elimination::Auto;
-  /// Engine structure (see UlvMode).
-  UlvMode mode = UlvMode::Auto;
   /// Storage precision of the factors (see Precision).
   Precision precision = Precision::Double;
 
@@ -129,11 +105,6 @@ struct FactorizeOptions {
   /// Sets the leaf elimination strategy.
   FactorizeOptions& with_elimination(Elimination v) {
     elimination = v;
-    return *this;
-  }
-  /// Sets the engine structure.
-  FactorizeOptions& with_mode(UlvMode v) {
-    mode = v;
     return *this;
   }
   /// Sets the storage precision of the factors.
@@ -218,7 +189,8 @@ struct FactorizationStats {
   /// residuals.
   Precision precision = Precision::Double;
   /// True when the factorization ran the stored-Q orthogonal elimination
-  /// (UlvMode); false on the Woodbury path.
+  /// (every view with nested bases); false on the Woodbury path (HODLR's
+  /// explicit bases).
   bool orthogonal = false;
   /// Negative eigenvalues of the factored operator as summed over the
   /// eliminated diagonal blocks. EXACT under the orthogonal elimination
@@ -229,8 +201,7 @@ struct FactorizationStats {
   index_t negative_eigenvalues = 0;
   /// True when negative_eigenvalues / positive_definite are exact rather
   /// than the Woodbury path's interlacing lower bound. Callers holding an
-  /// exact-inertia factorization can trust positive_definite outright
-  /// (make_preconditioner skips its inverse-power probe then).
+  /// exact-inertia factorization can trust positive_definite outright.
   bool exact_inertia = false;
   /// Whether the factored operator came out positive definite. Compression
   /// error can push K̃ + λI indefinite when λ is below ε₂‖K‖ (paper

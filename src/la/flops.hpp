@@ -1,30 +1,16 @@
 // FLOP-count bookkeeping used to report the paper's "GFs" columns.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
-#include "la/qr.hpp"
 #include "util/common.hpp"
 
 namespace gofmm::la {
 
-/// Thread-safe accumulator of floating-point operation counts per phase.
-/// The counts follow Table 2 of the paper (2mnk per GEMM, 2mn^2 per QR, ...).
+/// Floating-point operation count models. The counts follow Table 2 of the
+/// paper (2mnk per GEMM, 2mn^2 per QR, ...).
 class FlopCounter {
  public:
-  void add(std::uint64_t flops) {
-    count_.fetch_add(flops, std::memory_order_relaxed);
-  }
-  void reset() { count_.store(0, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t total() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  /// GFLOP/s for this counter over `seconds` of wall-clock time.
-  [[nodiscard]] double gflops(double seconds) const {
-    return seconds > 0 ? double(total()) / seconds * 1e-9 : 0.0;
-  }
-
   static constexpr std::uint64_t gemm_flops(index_t m, index_t n, index_t k) {
     return 2ull * std::uint64_t(m) * std::uint64_t(n) * std::uint64_t(k);
   }
@@ -35,25 +21,6 @@ class FlopCounter {
   static constexpr std::uint64_t trsm_flops(index_t n, index_t nrhs) {
     return std::uint64_t(n) * std::uint64_t(n) * std::uint64_t(nrhs);
   }
-  /// One-time cost of factoring + caching a node rotation in geqrt form
-  /// (geqrf plus the per-panel compact-WY T builds). The old model charged
-  /// geqrf alone and then under-charged every application; the T-build cost
-  /// now lives here, paid exactly once per stored rotation.
-  static constexpr std::uint64_t geqrt_build_flops(index_t m, index_t n) {
-    return geqrt_flops(m, n);
-  }
-  /// Per-application cost of a cached rotation (gemqrt): exact larfb panel
-  /// flops with NO larft rebuild term — matches ormqr_measured_flops() for
-  /// the hot path bit for bit. (The pre-cache code paid an extra
-  /// ~m·k·kQrPanel larft rebuild per application that the old ~4mnk model
-  /// silently ignored.)
-  static constexpr std::uint64_t ormqr_apply_flops(index_t m, index_t k,
-                                                   index_t ncols) {
-    return ormqr_flops(m, k, ncols);
-  }
-
- private:
-  std::atomic<std::uint64_t> count_{0};
 };
 
 }  // namespace gofmm::la

@@ -41,15 +41,11 @@ std::string OperatorSpec::structure_key() const {
   const char* elim = factorize.elimination == Elimination::Auto       ? "auto"
                      : factorize.elimination == Elimination::Cholesky ? "chol"
                                                                       : "ldlt";
-  const char* mode = factorize.mode == UlvMode::Auto       ? "auto"
-                     : factorize.mode == UlvMode::Woodbury ? "woodbury"
-                                                           : "orthogonal";
   // Precision is load-bearing: a MixedF32 factorization holds float
   // factors, a Double one holds doubles — aliasing them under one key
   // would hand half the requests the wrong storage policy.
   const char* prec = factorize.precision == Precision::MixedF32 ? "f32" : "f64";
-  return dataset + '|' + config_fingerprint(config) + '|' + elim + '|' + mode +
-         '|' + prec;
+  return dataset + '|' + config_fingerprint(config) + '|' + elim + '|' + prec;
 }
 
 }  // namespace gofmm::service

@@ -61,15 +61,16 @@ struct OperatorSpec {
   /// Regularization λ. NOT part of the structure key: entries retune to a
   /// requested λ via refactorize() instead of rebuilding.
   double lambda = 0.0;
-  /// Factorization policy: elimination strategy, ULV mode, and storage
-  /// precision. ALL part of the structure key — Cholesky and pivoted-LDLᵀ
-  /// factors differ structurally, forced Woodbury differs from Auto, and a
-  /// MixedF32 factorization stores different (float) bytes than a Double
-  /// one, so the two must never alias one cache entry.
+  /// Factorization policy: elimination strategy and storage precision.
+  /// Both part of the structure key — Cholesky and pivoted-LDLᵀ factors
+  /// differ structurally, and a MixedF32 factorization stores different
+  /// (float) bytes than a Double one, so the two must never alias one
+  /// cache entry. (The elimination structure is fixed by the operator's
+  /// bases, so it needs no key component.)
   FactorizeOptions factorize = FactorizeOptions::defaults();
 
   /// The physical cache key:
-  /// dataset | config fingerprint | elimination | mode | precision.
+  /// dataset | config fingerprint | elimination | precision.
   /// Everything except λ.
   [[nodiscard]] std::string structure_key() const;
 };

@@ -24,12 +24,4 @@ class Timer {
   clock::time_point start_;
 };
 
-/// Times a callable and returns elapsed seconds.
-template <typename F>
-double timed(F&& f) {
-  Timer t;
-  f();
-  return t.seconds();
-}
-
 }  // namespace gofmm

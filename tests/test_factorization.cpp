@@ -307,6 +307,28 @@ TEST(Logdet, MatchesDenseCholeskyOnSmallN) {
   kc.factorize(lambda);
   EXPECT_NEAR(kc.logdet(), ld_dense, 1e-3 * std::abs(ld_dense) + 1e-3);
 
+  // The tight reference: a dense Cholesky of the SAME compressed operator
+  // K̃ + λI (dense K̃ from one blocked apply of the identity) must agree to
+  // round-off, at this λ and after a retune.
+  la::Matrix<double> kt = kc.apply(la::Matrix<double>::identity(n));
+  for (index_t j = 0; j < n; ++j)  // symmetrise round-off before potrf
+    for (index_t i = 0; i < j; ++i) {
+      const double avg = 0.5 * (kt(i, j) + kt(j, i));
+      kt(i, j) = avg;
+      kt(j, i) = avg;
+    }
+  for (const double lam : {lambda, 0.25}) {
+    la::Matrix<double> kd_lam = kt;
+    for (index_t i = 0; i < n; ++i) kd_lam(i, i) += lam;
+    ASSERT_TRUE(la::potrf_lower(kd_lam));
+    double ld_compressed = 0;
+    for (index_t i = 0; i < n; ++i)
+      ld_compressed += 2.0 * std::log(kd_lam(i, i));
+    kc.refactorize(lam);
+    EXPECT_NEAR(kc.logdet(), ld_compressed, 1e-10 * std::abs(ld_compressed))
+        << "lambda " << lam;
+  }
+
   baseline::HodlrOptions opts;
   opts.leaf_size = 32;
   opts.tolerance = 1e-11;
@@ -553,7 +575,7 @@ TEST(OrthogonalUlv, StoredRotationsAreOrthogonalToMachinePrecision) {
   auto kc = CompressedMatrix<double>::compress(k, hss_config());
   kc.factorize(1e-2);
   const UlvFactorization<double>& f = kc.factorization();
-  ASSERT_EQ(f.mode(), UlvMode::Orthogonal);
+  ASSERT_TRUE(f.stats().orthogonal);
   EXPECT_LE(f.rotation_orthogonality_error(),
             double(n) * std::numeric_limits<double>::epsilon());
 
@@ -561,69 +583,31 @@ TEST(OrthogonalUlv, StoredRotationsAreOrthogonalToMachinePrecision) {
   opts.leaf_size = 64;
   baseline::RandHss<double> rh(*k, opts);
   rh.factorize(1e-2);
-  ASSERT_EQ(rh.factorization().mode(), UlvMode::Orthogonal);
+  ASSERT_TRUE(rh.factorization().stats().orthogonal);
   EXPECT_LE(rh.factorization().rotation_orthogonality_error(),
             double(n) * std::numeric_limits<double>::epsilon());
 }
 
-TEST(OrthogonalUlv, ModeResolutionAcrossBackendsAndStats) {
+TEST(OrthogonalUlv, ViewSelectsStructureAcrossBackendsAndStats) {
   const index_t n = 300;
   auto k = test_kernel(n, 0.5);
-  // Nested views resolve Auto to the orthogonal engine; stats advertise
-  // the exact-inertia certificate the structure provides.
+  // Nested views eliminate orthogonally; stats advertise the
+  // exact-inertia certificate the structure provides.
   auto kc = CompressedMatrix<double>::compress(k, hss_config());
   kc.factorize(1e-2);
   EXPECT_TRUE(kc.factorization_stats().orthogonal);
   EXPECT_TRUE(kc.factorization_stats().exact_inertia);
   EXPECT_EQ(kc.factorization_stats().negative_eigenvalues, 0);
   // Explicit (HODLR) bases cannot telescope through a fixed row
-  // elimination: Auto falls back to Woodbury, and forcing Orthogonal is
-  // a structural error.
+  // elimination: the view selects Woodbury.
   baseline::HodlrOptions hopts;
   hopts.leaf_size = 64;
   baseline::Hodlr<double> h(*k, hopts);
   h.factorize(1e-2);
   EXPECT_FALSE(h.factorization_stats().orthogonal);
   EXPECT_FALSE(h.factorization_stats().exact_inertia);
-  EXPECT_EQ(h.factorization().mode(), UlvMode::Woodbury);
+  EXPECT_FALSE(h.factorization().stats().orthogonal);
   EXPECT_EQ(h.factorization().rotation_orthogonality_error(), 0.0);
-  const FactorizeOptions force =
-      FactorizeOptions::defaults().with_mode(UlvMode::Orthogonal);
-  EXPECT_THROW(h.factorize(1e-2, force), Error);
-}
-
-TEST(OrthogonalUlv, WoodburyModeStillServesNestedViewsAndAgrees) {
-  // The classic Woodbury elimination remains forceable on nested views as
-  // the verification path: same operator, so solves/logdets agree to
-  // round-off (not bitwise — different algebra), and its refactorize
-  // stays bit-identical to its own fresh factorize.
-  const index_t n = 400;
-  auto k = test_kernel(n, 0.5);
-  la::Matrix<double> b = la::Matrix<double>::random_normal(n, 3, 37);
-  const double lambda = 0.25;
-
-  auto kc_orth = CompressedMatrix<double>::compress(k, hss_config());
-  kc_orth.factorize(lambda);
-  auto kc_wood = CompressedMatrix<double>::compress(k, hss_config());
-  const FactorizeOptions wb =
-      FactorizeOptions::defaults().with_mode(UlvMode::Woodbury);
-  kc_wood.factorize(lambda, wb);
-  EXPECT_FALSE(kc_wood.factorization_stats().orthogonal);
-  EXPECT_LT(operator_residual(kc_wood, lambda, b, kc_wood.solve(b)), 1e-8);
-
-  const la::Matrix<double> x_orth = kc_orth.solve(b);
-  const la::Matrix<double> x_wood = kc_wood.solve(b);
-  EXPECT_LT(la::diff_fro(x_orth, x_wood), 1e-7 * (1 + la::norm_fro(x_orth)));
-  EXPECT_NEAR(kc_orth.logdet(), kc_wood.logdet(),
-              1e-8 * std::abs(kc_orth.logdet()));
-
-  kc_wood.refactorize(0.8);
-  const la::Matrix<double> x_re = kc_wood.solve(b);
-  kc_wood.factorize(0.8, wb);
-  const la::Matrix<double> x_fresh = kc_wood.solve(b);
-  for (index_t j = 0; j < b.cols(); ++j)
-    for (index_t i = 0; i < n; ++i)
-      ASSERT_EQ(x_re(i, j), x_fresh(i, j)) << i << "," << j;
 }
 
 TEST(OrthogonalUlv, ExactInertiaCountsNegativeEigenvaluesOfShiftedOperator) {
@@ -694,7 +678,7 @@ TEST(OrthogonalUlv, SolveSweepsApplyCachedRotationsWithZeroLarft) {
   auto k = test_kernel(n, 0.5);
   auto kc = CompressedMatrix<double>::compress(k, hss_config());
   kc.factorize(1e-2);
-  ASSERT_EQ(kc.factorization().mode(), UlvMode::Orthogonal);
+  ASSERT_TRUE(kc.factorization().stats().orthogonal);
 
   const la::Matrix<double> b = la::Matrix<double>::random_normal(n, 1, 61);
   la::larft_calls_reset();

@@ -101,17 +101,6 @@ TEST(TableTest, AlignsColumnsAndFormats) {
   EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(Flops, CounterAccumulatesThreadSafely) {
-  la::FlopCounter c;
-  EXPECT_EQ(c.total(), 0u);
-#pragma omp parallel for
-  for (int i = 0; i < 64; ++i) c.add(10);
-  EXPECT_EQ(c.total(), 640u);
-  EXPECT_NEAR(c.gflops(1e-9 * 640), 1.0, 1e-9);
-  c.reset();
-  EXPECT_EQ(c.total(), 0u);
-}
-
 TEST(Flops, CostFormulas) {
   EXPECT_EQ(la::FlopCounter::gemm_flops(2, 3, 4), 48u);
   EXPECT_EQ(la::FlopCounter::qr_flops(10, 5, 3), 300u);
