@@ -28,6 +28,7 @@ from pathlib import Path
 
 HEADERS = [
     "src/core/operator.hpp",
+    "src/core/hierarchical_operator.hpp",
     "src/core/factorization.hpp",
     "src/core/hss_view.hpp",
     "src/core/solvers.hpp",

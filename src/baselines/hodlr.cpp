@@ -1,16 +1,11 @@
 #include "baselines/hodlr.hpp"
 
-#include <cmath>
 #include <functional>
 #include <numeric>
 
-#include "core/error.hpp"
-#include "core/factorization.hpp"
 #include "core/hss_view.hpp"
-#include "core/solvers.hpp"
 #include "la/blas.hpp"
 #include "la/flops.hpp"
-#include "la/lapack.hpp"
 #include "util/timer.hpp"
 
 namespace gofmm {
@@ -218,10 +213,7 @@ std::uint64_t Hodlr<T>::memory_bytes() const {
     }
   };
   visit(root_.get());
-  // Direct-solver factors, when built (also reported by
-  // factorization_stats().memory_bytes).
-  if (fact_ != nullptr) bytes += fact_->stats().memory_bytes;
-  return bytes;
+  return bytes + this->factor_bytes();
 }
 
 template <typename T>
@@ -235,64 +227,8 @@ OperatorStats Hodlr<T>::operator_stats() const {
 }
 
 template <typename T>
-Hodlr<T>::~Hodlr() = default;
-
-template <typename T>
-void Hodlr<T>::factorize(T regularization, FactorizeOptions options) {
-  // Invalidate up front — deliberately trading the strong exception
-  // guarantee for loudness: after a FAILED re-factorize the operator
-  // throws StateError on solve() instead of silently serving the old-λ
-  // factors to a caller who asked for a new λ.
-  fact_.reset();
-  const HodlrView<T> view(*this);
-  fact_ = std::make_unique<UlvFactorization<T>>(view, regularization, options);
-}
-
-template <typename T>
-void Hodlr<T>::refactorize(T regularization) {
-  if (fact_ == nullptr) {
-    factorize(regularization);
-    return;
-  }
-  try {
-    fact_->refactorize(regularization);
-  } catch (...) {
-    fact_.reset();  // failed re-elimination: be loud, not wrong
-    throw;
-  }
-}
-
-template <typename T>
-double Hodlr<T>::logdet() const {
-  check<StateError>(fact_ != nullptr, "Hodlr::logdet: call factorize() first");
-  return fact_->logdet();
-}
-
-template <typename T>
-FactorizationStats Hodlr<T>::factorization_stats() const {
-  check<StateError>(fact_ != nullptr,
-                    "Hodlr::factorization_stats: call factorize() first");
-  return fact_->stats();
-}
-
-template <typename T>
-const UlvFactorization<T>& Hodlr<T>::factorization() const {
-  check<StateError>(fact_ != nullptr,
-                    "Hodlr::factorization: call factorize() first");
-  return *fact_;
-}
-
-template <typename T>
-la::Matrix<T> Hodlr<T>::solve(const la::Matrix<T>& b,
-                              const SolveOptions& options) const {
-  check<StateError>(fact_ != nullptr, "Hodlr::solve: call factorize() first");
-  if (options.refine && fact_->stats().precision == Precision::MixedF32) {
-    la::Matrix<T> x;
-    refined_solve(*this, *this, T(fact_->stats().regularization), b, x,
-                  options);
-    return x;
-  }
-  return fact_->solve(b);
+std::unique_ptr<const HssView<T>> Hodlr<T>::hss_view() const {
+  return std::make_unique<HodlrView<T>>(*this);
 }
 
 template <typename T>

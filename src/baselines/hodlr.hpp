@@ -7,21 +7,16 @@
 #include <memory>
 
 #include "baselines/aca.hpp"
-#include "core/operator.hpp"
+#include "core/hierarchical_operator.hpp"
 #include "core/spd_matrix.hpp"
 #include "la/matrix.hpp"
 
 namespace gofmm {
 template <typename T>
-class UlvFactorization;  // core/factorization.hpp
-template <typename T>
 class HodlrView;  // baselines/hodlr.cpp (HssView over this baseline)
 }  // namespace gofmm
 
 namespace gofmm::baseline {
-
-using gofmm::HodlrView;
-using gofmm::UlvFactorization;
 
 struct HodlrOptions {
   index_t leaf_size = 128;
@@ -39,70 +34,36 @@ struct HodlrStats {
 
 /// HODLR compression of an SPD matrix. Implements CompressedOperator (the
 /// matvec is const and thread-safe: the tree is immutable after build and
-/// the recursion carries no per-node scratch) and the Factorizable
-/// capability through the shared ULV engine: an HODLR off-diagonal block
-/// K(l, r) ≈ U₁₂ V₁₂ᵀ is the coupling W M Wᵀ with explicit (non-nested)
-/// bases V_l = U₁₂, V_r = V₁₂ᵀ and B = I, so factorize() hands an
-/// HodlrView of this object to UlvFactorization — the engine's Explicit
-/// basis path reproduces the classical O(N log² N) recursive-Woodbury
-/// HODLR direct solver without any HODLR-specific elimination code.
+/// the recursion carries no per-node scratch) and, through
+/// HierarchicalOperator, the Factorizable capability: an HODLR
+/// off-diagonal block K(l, r) ≈ U₁₂ V₁₂ᵀ is the coupling W M Wᵀ with
+/// explicit (non-nested) bases V_l = U₁₂, V_r = V₁₂ᵀ and B = I, so the
+/// shared engine's Explicit basis path reproduces the classical
+/// O(N log² N) recursive-Woodbury HODLR direct solver without any
+/// HODLR-specific elimination code.
 template <typename T>
-class Hodlr final : public CompressedOperator<T>, public Factorizable<T> {
+class Hodlr final : public HierarchicalOperator<T> {
  public:
   Hodlr(const SPDMatrix<T>& k, const HodlrOptions& options);
-  ~Hodlr() override;  // out-of-line: the ULV factors are incomplete here
 
   /// u = H̃ w for an N-by-r block of right-hand sides (alias of apply()).
   [[nodiscard]] la::Matrix<T> matvec(const la::Matrix<T>& w) const {
     return this->apply(w);
   }
 
-  /// Builds the O(N log² N) direct factorization of H̃ + λI via the shared
-  /// ULV engine. Must be called before solve()/logdet(); solve() is const
-  /// and thread-safe after. Indefinite shifts factor through the engine's
-  /// pivoted-LDLᵀ leaf path per `options`.
-  void factorize(T regularization = T(0),
-                 FactorizeOptions options = {}) override;
-
-  /// Re-eliminates the existing factorization with a new λ, reusing the
-  /// engine's payload snapshot (bit-identical to a fresh factorize(λ),
-  /// without re-reading this object). Falls back to factorize() when no
-  /// factorization exists yet.
-  void refactorize(T regularization) override;
-
-  /// x = (H̃ + λI)⁻¹ b after factorize(); b is N-by-r, solved in one
-  /// blocked level-parallel sweep. Under Precision::MixedF32 with
-  /// options.refine the float sweep is refined to options.target_residual.
-  [[nodiscard]] la::Matrix<T> solve(
-      const la::Matrix<T>& b,
-      const SolveOptions& options = SolveOptions::defaults()) const override;
-
-  /// log det(H̃ + λI) from the stored factors (leaf Cholesky diagonals
-  /// plus capacitance determinants).
-  [[nodiscard]] double logdet() const override;
-
-  [[nodiscard]] FactorizationStats factorization_stats() const override;
-
-  /// The ULV factors built by factorize() — exposed for sweep-mode
-  /// verification. Throws StateError before factorize().
-  [[nodiscard]] const UlvFactorization<T>& factorization() const;
-
   // --- CompressedOperator interface ---
   [[nodiscard]] index_t size() const override { return n_; }
   [[nodiscard]] std::string name() const override { return "hodlr"; }
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] OperatorStats operator_stats() const override;
-  [[nodiscard]] Factorizable<T>* factorizable() override { return this; }
-  [[nodiscard]] const Factorizable<T>* factorizable() const override {
-    return this;
-  }
 
   [[nodiscard]] const HodlrStats& stats() const { return stats_; }
-  [[nodiscard]] bool factorized() const override { return fact_ != nullptr; }
 
  protected:
   la::Matrix<T> do_apply(const la::Matrix<T>& w,
                          EvalWorkspace<T>& ws) const override;
+  /// The explicit-basis HodlrView the inherited factorize() eliminates.
+  std::unique_ptr<const HssView<T>> hss_view() const override;
 
  private:
   friend class gofmm::HodlrView<T>;
@@ -126,10 +87,6 @@ class Hodlr final : public CompressedOperator<T>, public Factorizable<T> {
   HodlrOptions options_;
   std::unique_ptr<HNode> root_;
   HodlrStats stats_;
-
-  // ULV factors (null until factorize(); immutable afterwards, so const
-  // solve()/logdet() are thread-safe).
-  std::unique_ptr<UlvFactorization<T>> fact_;
 };
 
 extern template class Hodlr<float>;

@@ -3,9 +3,7 @@
 #include <functional>
 #include <numeric>
 
-#include "core/factorization.hpp"
 #include "core/hss_view.hpp"
-#include "core/solvers.hpp"
 #include "la/blas.hpp"
 #include "la/flops.hpp"
 #include "la/id.hpp"
@@ -363,66 +361,8 @@ la::Matrix<T> RandHss<T>::do_apply(const la::Matrix<T>& w,
 }
 
 template <typename T>
-RandHss<T>::~RandHss() = default;
-
-template <typename T>
-void RandHss<T>::factorize(T regularization, FactorizeOptions options) {
-  // Invalidate up front — deliberately trading the strong exception
-  // guarantee for loudness: after a FAILED re-factorize the operator
-  // throws StateError on solve() instead of silently serving the old-λ
-  // factors to a caller who asked for a new λ.
-  fact_.reset();
-  const RandHssView<T> view(*this);
-  fact_ = std::make_unique<UlvFactorization<T>>(view, regularization, options);
-}
-
-template <typename T>
-void RandHss<T>::refactorize(T regularization) {
-  if (fact_ == nullptr) {
-    factorize(regularization);
-    return;
-  }
-  try {
-    fact_->refactorize(regularization);
-  } catch (...) {
-    fact_.reset();  // failed re-elimination: be loud, not wrong
-    throw;
-  }
-}
-
-template <typename T>
-la::Matrix<T> RandHss<T>::solve(const la::Matrix<T>& b,
-                                const SolveOptions& options) const {
-  check<StateError>(fact_ != nullptr,
-                    "RandHss::solve: call factorize() first");
-  if (options.refine && fact_->stats().precision == Precision::MixedF32) {
-    la::Matrix<T> x;
-    refined_solve(*this, *this, T(fact_->stats().regularization), b, x,
-                  options);
-    return x;
-  }
-  return fact_->solve(b);
-}
-
-template <typename T>
-double RandHss<T>::logdet() const {
-  check<StateError>(fact_ != nullptr,
-                    "RandHss::logdet: call factorize() first");
-  return fact_->logdet();
-}
-
-template <typename T>
-FactorizationStats RandHss<T>::factorization_stats() const {
-  check<StateError>(fact_ != nullptr,
-                    "RandHss::factorization_stats: call factorize() first");
-  return fact_->stats();
-}
-
-template <typename T>
-const UlvFactorization<T>& RandHss<T>::factorization() const {
-  check<StateError>(fact_ != nullptr,
-                    "RandHss::factorization: call factorize() first");
-  return *fact_;
+std::unique_ptr<const HssView<T>> RandHss<T>::hss_view() const {
+  return std::make_unique<RandHssView<T>>(*this);
 }
 
 template <typename T>
@@ -441,11 +381,7 @@ std::uint64_t RandHss<T>::memory_bytes() const {
       stack.push_back(node->right.get());
     }
   }
-  // Direct-solver factors, when built (also reported by
-  // factorization_stats().memory_bytes) — same convention as the GOFMM
-  // and HODLR backends.
-  if (fact_ != nullptr) bytes += fact_->stats().memory_bytes;
-  return bytes;
+  return bytes + this->factor_bytes();
 }
 
 template <typename T>

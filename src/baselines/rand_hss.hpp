@@ -9,7 +9,7 @@
 
 #include <memory>
 
-#include "core/operator.hpp"
+#include "core/hierarchical_operator.hpp"
 #include "core/spd_matrix.hpp"
 #include "la/matrix.hpp"
 
@@ -34,15 +34,10 @@ struct RandHssStats {
 
 namespace gofmm {
 template <typename T>
-class UlvFactorization;  // core/factorization.hpp
-template <typename T>
 class RandHssView;  // baselines/rand_hss.cpp (HssView over this baseline)
 }  // namespace gofmm
 
 namespace gofmm::baseline {
-
-using gofmm::RandHssView;
-using gofmm::UlvFactorization;
 
 /// Randomized HSS compression of an SPD matrix (symmetric: row and column
 /// bases coincide). Implements CompressedOperator: the upward/downward
@@ -50,17 +45,15 @@ using gofmm::UlvFactorization;
 /// (ws.up = skeleton weights w̃, ws.down = skeleton potentials ũ, indexed
 /// by node id), so concurrent matvecs on one object never collide.
 ///
-/// Also implements the Factorizable capability: the randomized-HSS
-/// structure is exactly the nested form the shared ULV engine
-/// (core/factorization.hpp) eliminates, so factorize() hands an
-/// RandHssView of this object to UlvFactorization and solve()/logdet()
-/// invert the compressed operator to round-off — same engine, same
-/// level-parallel blocked sweep as the GOFMM path.
+/// Through HierarchicalOperator it is also Factorizable: the
+/// randomized-HSS structure is exactly the nested form the shared ULV
+/// engine eliminates, so solve()/logdet() invert the compressed operator
+/// to round-off — same engine, same level-parallel blocked sweep as the
+/// GOFMM path.
 template <typename T>
-class RandHss final : public CompressedOperator<T>, public Factorizable<T> {
+class RandHss final : public HierarchicalOperator<T> {
  public:
   RandHss(const SPDMatrix<T>& k, const RandHssOptions& options);
-  ~RandHss() override;  // out-of-line: the ULV factors are incomplete here
 
   /// u = H̃ w for N-by-r right-hand sides (alias of apply()).
   [[nodiscard]] la::Matrix<T> matvec(const la::Matrix<T>& w) const {
@@ -72,33 +65,14 @@ class RandHss final : public CompressedOperator<T>, public Factorizable<T> {
   [[nodiscard]] std::string name() const override { return "rand_hss"; }
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] OperatorStats operator_stats() const override;
-  [[nodiscard]] Factorizable<T>* factorizable() override { return this; }
-  [[nodiscard]] const Factorizable<T>* factorizable() const override {
-    return this;
-  }
-
-  // --- Factorizable capability (shared ULV engine) ---
-  void factorize(T regularization = T(0),
-                 FactorizeOptions options = {}) override;
-  /// Cheap λ retune through the engine's payload snapshot (bit-identical
-  /// to a fresh factorize(λ)); full factorize() when none exists yet.
-  void refactorize(T regularization) override;
-  [[nodiscard]] bool factorized() const override { return fact_ != nullptr; }
-  [[nodiscard]] la::Matrix<T> solve(
-      const la::Matrix<T>& b,
-      const SolveOptions& options = SolveOptions::defaults()) const override;
-  [[nodiscard]] double logdet() const override;
-  [[nodiscard]] FactorizationStats factorization_stats() const override;
-
-  /// The ULV factors built by factorize() — exposed for sweep-mode
-  /// verification. Throws StateError before factorize().
-  [[nodiscard]] const UlvFactorization<T>& factorization() const;
 
   [[nodiscard]] const RandHssStats& stats() const { return stats_; }
 
  protected:
   la::Matrix<T> do_apply(const la::Matrix<T>& w,
                          EvalWorkspace<T>& ws) const override;
+  /// The nested-basis RandHssView the inherited factorize() eliminates.
+  std::unique_ptr<const HssView<T>> hss_view() const override;
 
  private:
   friend class gofmm::RandHssView<T>;
@@ -127,10 +101,6 @@ class RandHss final : public CompressedOperator<T>, public Factorizable<T> {
   RandHssOptions options_;
   std::unique_ptr<HssNode> root_;
   RandHssStats stats_;
-
-  // ULV factors (null until factorize(); immutable afterwards, so const
-  // solve()/logdet() are thread-safe).
-  std::unique_ptr<UlvFactorization<T>> fact_;
 };
 
 extern template class RandHss<float>;

@@ -32,7 +32,6 @@
 #include <numeric>
 #include <type_traits>
 
-#include "core/solvers.hpp"
 #include "la/blas.hpp"
 #include "la/flops.hpp"
 #include "la/lapack.hpp"
@@ -1255,7 +1254,7 @@ double UlvFactorization<T>::logdet() const {
   return logdet_;
 }
 
-// --- CompressedMatrix's HssView + Factorizable capability ------------------
+// --- CompressedMatrix's HssView -------------------------------------------
 
 /// HssView over a GOFMM compression: metric-tree topology and permutation,
 /// cached/oracle-evaluated leaf diagonals, telescoping projection bases,
@@ -1318,72 +1317,8 @@ class GofmmHssView final : public HssView<T> {
 };
 
 template <typename T>
-void CompressedMatrix<T>::factorize(T regularization,
-                                    FactorizeOptions options) {
-  // Invalidate up front — deliberately trading the strong exception
-  // guarantee for loudness: after a FAILED re-factorize the operator
-  // throws StateError on solve() instead of silently serving the old-λ
-  // factors to a caller who asked for a new λ.
-  fact_.reset();
-  const GofmmHssView<T> view(*this);
-  fact_ = std::make_unique<UlvFactorization<T>>(view, regularization, options);
-}
-
-template <typename T>
-void CompressedMatrix<T>::refactorize(T regularization) {
-  if (fact_ == nullptr) {
-    factorize(regularization);
-    return;
-  }
-  try {
-    fact_->refactorize(regularization);
-  } catch (...) {
-    // A failed re-elimination leaves the factors inconsistent; drop them
-    // so solve() throws StateError instead of serving garbage.
-    fact_.reset();
-    throw;
-  }
-}
-
-template <typename T>
-la::Matrix<T> CompressedMatrix<T>::solve(const la::Matrix<T>& b,
-                                         const SolveOptions& options) const {
-  check<StateError>(fact_ != nullptr,
-                    "CompressedMatrix::solve: call factorize() first");
-  // Under MixedF32 a raw float-factored sweep carries ~1e-6 relative
-  // error; iterative refinement (double-accumulated residuals against the
-  // compressed apply) drives it back to options.target_residual. Native
-  // double/float factorizations return the direct sweep untouched.
-  if (options.refine &&
-      fact_->stats().precision == Precision::MixedF32) {
-    la::Matrix<T> x;
-    refined_solve(*this, *this, T(fact_->stats().regularization), b, x,
-                  options);
-    return x;
-  }
-  return fact_->solve(b);
-}
-
-template <typename T>
-double CompressedMatrix<T>::logdet() const {
-  check<StateError>(fact_ != nullptr,
-                    "CompressedMatrix::logdet: call factorize() first");
-  return fact_->logdet();
-}
-
-template <typename T>
-FactorizationStats CompressedMatrix<T>::factorization_stats() const {
-  check<StateError>(
-      fact_ != nullptr,
-      "CompressedMatrix::factorization_stats: call factorize() first");
-  return fact_->stats();
-}
-
-template <typename T>
-const UlvFactorization<T>& CompressedMatrix<T>::factorization() const {
-  check<StateError>(fact_ != nullptr,
-                    "CompressedMatrix::factorization: call factorize() first");
-  return *fact_;
+std::unique_ptr<const HssView<T>> CompressedMatrix<T>::hss_view() const {
+  return std::make_unique<GofmmHssView<T>>(*this);
 }
 
 template <typename T>
@@ -1481,24 +1416,10 @@ template class UlvFactorization<double>;
 template class GofmmHssView<float>;
 template class GofmmHssView<double>;
 
-template void CompressedMatrix<float>::factorize(float, FactorizeOptions);
-template void CompressedMatrix<double>::factorize(double, FactorizeOptions);
-template void CompressedMatrix<float>::refactorize(float);
-template void CompressedMatrix<double>::refactorize(double);
-template la::Matrix<float> CompressedMatrix<float>::solve(
-    const la::Matrix<float>&, const SolveOptions&) const;
-template la::Matrix<double> CompressedMatrix<double>::solve(
-    const la::Matrix<double>&, const SolveOptions&) const;
-template double CompressedMatrix<float>::logdet() const;
-template double CompressedMatrix<double>::logdet() const;
-template FactorizationStats CompressedMatrix<float>::factorization_stats()
-    const;
-template FactorizationStats CompressedMatrix<double>::factorization_stats()
-    const;
-template const UlvFactorization<float>& CompressedMatrix<float>::factorization()
-    const;
-template const UlvFactorization<double>&
-CompressedMatrix<double>::factorization() const;
+template std::unique_ptr<const HssView<float>>
+CompressedMatrix<float>::hss_view() const;
+template std::unique_ptr<const HssView<double>>
+CompressedMatrix<double>::hss_view() const;
 
 template std::unique_ptr<CompressedMatrix<float>> make_preconditioner<float>(
     std::shared_ptr<const SPDMatrix<float>>, float, Config);

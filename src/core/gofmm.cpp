@@ -1,7 +1,6 @@
 // Compression pipeline orchestration (paper Algorithm 2.2).
 #include "core/gofmm.hpp"
 
-#include "core/factorization.hpp"
 #include "util/timer.hpp"
 
 namespace gofmm {
@@ -57,9 +56,6 @@ CompressedMatrix<T>::CompressedMatrix(std::shared_ptr<const SPDMatrix<T>> k,
   }
   stats_.avg_rank = skel_nodes > 0 ? rank_sum / double(skel_nodes) : 0.0;
 }
-
-template <typename T>
-CompressedMatrix<T>::~CompressedMatrix() = default;
 
 template <typename T>
 CompressedMatrix<T> CompressedMatrix<T>::compress(
@@ -124,8 +120,7 @@ std::uint64_t CompressedMatrix<T>::memory_bytes() const {
     bytes += std::uint64_t(nd.near.size() + nd.far.size()) * sizeof(void*);
     bytes += std::uint64_t(nd.near_leaf_ordinals.size()) * sizeof(index_t);
   }
-  if (fact_ != nullptr) bytes += fact_->stats().memory_bytes;
-  return bytes;
+  return bytes + this->factor_bytes();
 }
 
 template <typename T>

@@ -27,6 +27,7 @@
 
 #include "core/config.hpp"
 #include "core/error.hpp"
+#include "core/hierarchical_operator.hpp"
 #include "core/operator.hpp"
 #include "core/spd_matrix.hpp"
 #include "la/matrix.hpp"
@@ -59,17 +60,14 @@ struct CompressionStats {
 };
 
 template <typename T>
-class UlvFactorization;  // core/factorization.hpp
-template <typename T>
 class GofmmHssView;  // core/factorization.cpp (HssView over a compression)
 
-/// A hierarchically compressed SPD matrix: K̃ = D + S + UV (Eq. 1).
+/// A hierarchically compressed SPD matrix: K̃ = D + S + UV (Eq. 1). The
+/// factorization capability (factorize/solve/logdet) is inherited from
+/// HierarchicalOperator and covers the nested (HSS) part of K̃.
 template <typename T>
-class CompressedMatrix final : public CompressedOperator<T>,
-                               public Factorizable<T> {
+class CompressedMatrix final : public HierarchicalOperator<T> {
  public:
-  // Out-of-line: the ULV factors are an incomplete type here.
-  ~CompressedMatrix() override;
   /// Compresses `k` under `config`, sharing ownership of the oracle: the
   /// compressed matrix keeps the matrix alive for uncached evaluation and
   /// estimate_error, so the handle may go out of scope freely.
@@ -99,41 +97,6 @@ class CompressedMatrix final : public CompressedOperator<T>,
   [[nodiscard]] std::string name() const override { return "gofmm"; }
   [[nodiscard]] std::uint64_t memory_bytes() const override;
   [[nodiscard]] OperatorStats operator_stats() const override;
-  [[nodiscard]] Factorizable<T>* factorizable() override { return this; }
-  [[nodiscard]] const Factorizable<T>* factorizable() const override {
-    return this;
-  }
-
-  // --- Factorizable capability (core/factorization.cpp) ---
-  //
-  // factorize() builds a symmetric ULV-style factorization of the NESTED
-  // (HSS) part of the compression — leaf diagonal blocks plus the
-  // skeleton-basis sibling couplings — through the shared ULV engine
-  // (UlvFactorization over a GofmmHssView): bottom-up block elimination
-  // with Woodbury capacitance updates at every tree level. For a pure HSS
-  // compression (budget 0) this factors K̃ + λI exactly; with a direct
-  // budget > 0 the dropped near/far corrections make solve() a
-  // preconditioner-quality approximate inverse (see preconditioned_solve
-  // in core/solvers.hpp). Mutating setup step; solve()/logdet() are const
-  // and thread-safe afterwards. solve() takes an N-by-r block and runs one
-  // level-parallel sweep with r-wide GEMMs (see core/factorization.hpp).
-  // Indefinite shifts eliminate through the pivoted-LDLᵀ leaf path per
-  // `options`; refactorize(λ) re-eliminates with a new shift reusing the
-  // engine's payload snapshot — no oracle traffic, bit-identical to a
-  // fresh factorize(λ).
-  void factorize(T regularization = T(0),
-                 FactorizeOptions options = {}) override;
-  void refactorize(T regularization) override;
-  [[nodiscard]] bool factorized() const override { return fact_ != nullptr; }
-  [[nodiscard]] la::Matrix<T> solve(
-      const la::Matrix<T>& b,
-      const SolveOptions& options = SolveOptions::defaults()) const override;
-  [[nodiscard]] double logdet() const override;
-  [[nodiscard]] FactorizationStats factorization_stats() const override;
-
-  /// The ULV factors built by factorize() — exposed for sweep-mode
-  /// verification and advanced use. Throws StateError before factorize().
-  [[nodiscard]] const UlvFactorization<T>& factorization() const;
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const CompressionStats& stats() const { return stats_; }
@@ -178,6 +141,8 @@ class CompressedMatrix final : public CompressedOperator<T>,
  protected:
   la::Matrix<T> do_apply(const la::Matrix<T>& w,
                          EvalWorkspace<T>& ws) const override;
+  /// The nested-basis GofmmHssView the inherited factorize() eliminates.
+  std::unique_ptr<const HssView<T>> hss_view() const override;
 
  private:
   friend class GofmmHssView<T>;
@@ -255,10 +220,6 @@ class CompressedMatrix final : public CompressedOperator<T>,
 
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<EvalWorkspace<T>>> pool_;
-
-  // ULV factors (null until factorize(); immutable afterwards, so const
-  // solve()/logdet() are thread-safe).
-  std::unique_ptr<UlvFactorization<T>> fact_;
 };
 
 extern template class CompressedMatrix<float>;

@@ -241,9 +241,10 @@ class Factorizable {
   /// the full rebuild factorize() performs — the cheap path for
   /// make_preconditioner's λ escalation and kernel-regression λ sweeps.
   /// Results are bit-identical to a fresh factorize() at the same λ with
-  /// the same options. The default implementation falls back to a full
-  /// factorize() for backends without an incremental path.
-  virtual void refactorize(T regularization) { factorize(regularization); }
+  /// the same options. When no factorization exists (never built, or
+  /// dropped by a failed call) it builds one with the options of the last
+  /// factorize() call.
+  virtual void refactorize(T regularization) = 0;
 
   /// True once factorize() has completed.
   [[nodiscard]] virtual bool factorized() const = 0;
@@ -324,10 +325,9 @@ class CompressedOperator {
 
   /// The operator's factorization capability, or nullptr when the backend
   /// has none. Backends that can solve (GOFMM's CompressedMatrix, the
-  /// HODLR and randomized-HSS baselines — all through the shared ULV
-  /// engine of core/factorization.hpp) override this to return themselves;
-  /// generic code can then probe `op.factorizable()` and fall back to
-  /// iterative solves.
+  /// HODLR and randomized-HSS baselines — all HierarchicalOperators over
+  /// the shared ULV engine) return themselves; generic code can then probe
+  /// `op.factorizable()` and fall back to iterative solves.
   [[nodiscard]] virtual Factorizable<T>* factorizable() { return nullptr; }
   /// Const view of the factorization capability (nullptr when absent).
   [[nodiscard]] virtual const Factorizable<T>* factorizable() const {

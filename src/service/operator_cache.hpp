@@ -4,13 +4,12 @@
 // kernel matrix is compressed once and then queried under a stream of
 // right-hand sides and regularizations. This cache keys built operators by
 // their STRUCTURE — (dataset id, config fingerprint, elimination mode,
-// ULV mode, storage precision) —
-// and lets λ float per entry, because the ULV engine retunes λ through
-// refactorize() at a fraction of a rebuild (orthogonal elimination:
-// rotations, bases, and couplings are all λ-independent). A request for a
-// cached structure at a new λ therefore never re-compresses and never
-// re-runs the full factorization; it takes the refactorize fast path under
-// the entry's writer lock.
+// storage precision) — and lets λ float per entry, because the ULV engine
+// retunes λ through refactorize() at a fraction of a rebuild (orthogonal
+// elimination: rotations, bases, and couplings are all λ-independent). A
+// request for a cached structure at a new λ therefore never re-compresses
+// and never re-runs the full factorization; it takes the refactorize fast
+// path under the entry's writer lock.
 //
 // Concurrency contract:
 //  * acquire() is single-flight: any number of threads missing the same
@@ -19,6 +18,11 @@
 //    lock with the factorization pinned at the requested λ, so concurrent
 //    solves at one λ proceed in parallel while a retune to another λ
 //    waits for exclusivity (and vice versa).
+//  * A retune that throws (a non-finite λ, or a Cholesky entry shifted
+//    indefinite) fails only the batch that asked for it. The operator
+//    drops its factors, so the next request at ANY λ — the resident one
+//    included — re-factorizes under the exclusive lock with the entry's
+//    factorize options instead of reading dropped factors.
 //  * Eviction is LRU over a byte budget counting compression + factor
 //    bytes. In-flight users hold shared_ptr references, so an evicted
 //    entry's memory is released when the last solve against it finishes.
@@ -158,9 +162,11 @@ class OperatorCache {
   }
 
   /// Runs `fn(entry)` with the factorization tuned to spec.lambda: under
-  /// the entry's SHARED lock when λ already matches (concurrent solves at
-  /// one λ proceed in parallel), or — when another λ is resident — under
-  /// the EXCLUSIVE lock immediately after the refactorize() retune. The
+  /// the entry's SHARED lock when factors at that λ are resident
+  /// (concurrent solves at one λ proceed in parallel), or — when another λ
+  /// is resident, or a failed retune dropped the factors — under the
+  /// EXCLUSIVE lock immediately after the refactorize() retune (which
+  /// rebuilds dropped factors with the entry's factorize options). The
   /// retuned call keeps the write lock through `fn` on purpose: releasing
   /// it to downgrade would let an interleaved batch at the other λ retune
   /// back before we re-enter, and two alternating λs then livelock in a
@@ -170,15 +176,17 @@ class OperatorCache {
   template <typename F>
   auto with_operator(const OperatorSpec& spec, F&& fn) {
     std::shared_ptr<Entry> entry = acquire(spec);
+    Factorizable<T>* fact = entry->op->factorizable();
+    const auto tuned = [&] {
+      return fact->factorized() && entry->lambda == spec.lambda;
+    };
     {
       std::shared_lock<std::shared_mutex> read(entry->mu);
-      if (entry->op->factorizable() == nullptr ||
-          entry->lambda == spec.lambda)
-        return fn(*entry);
+      if (fact == nullptr || tuned()) return fn(*entry);
     }
     std::unique_lock<std::shared_mutex> write(entry->mu);
-    if (entry->lambda != spec.lambda) {
-      entry->op->factorizable()->refactorize(T(spec.lambda));
+    if (!tuned()) {
+      fact->refactorize(T(spec.lambda));
       entry->lambda = spec.lambda;
       std::unique_lock<std::mutex> lk(mu_);
       counters_.retunes += 1;

@@ -398,51 +398,98 @@ TEST(ConcurrentSolve, EightThreadsBitIdenticalOnSharedFactorization) {
 
 // ----------------------------------------------------- state & probes ----
 
+// One operator per hierarchical backend over the same small kernel: the
+// factor lifecycle must behave identically on all three.
+std::vector<std::unique_ptr<CompressedOperator<double>>> lifecycle_backends(
+    const std::shared_ptr<zoo::KernelSPD<double>>& k) {
+  std::vector<std::unique_ptr<CompressedOperator<double>>> ops;
+  ops.push_back(CompressedMatrix<double>::compress_unique(k, hss_config()));
+  baseline::HodlrOptions hopts;
+  hopts.leaf_size = 64;
+  ops.push_back(std::make_unique<baseline::Hodlr<double>>(*k, hopts));
+  baseline::RandHssOptions sopts;
+  sopts.leaf_size = 64;
+  ops.push_back(std::make_unique<baseline::RandHss<double>>(*k, sopts));
+  return ops;
+}
+
 TEST(FactorizableState, SolveBeforeFactorizeThrows) {
   const index_t n = 128;
   auto k = test_kernel(n, 0.5);
-  auto kc = CompressedMatrix<double>::compress(k, hss_config());
   la::Matrix<double> b(n, 1);
-  EXPECT_FALSE(kc.factorized());
-  EXPECT_THROW((void)kc.solve(b), StateError);
-  EXPECT_THROW((void)kc.logdet(), StateError);
-  EXPECT_THROW((void)kc.factorization_stats(), StateError);
-  EXPECT_THROW(
-      preconditioned_solve<double>(kc, 1.0, b, b, kc,
-                                   SolveOptions::defaults()
-                                       .with_max_iterations(10)),
-      StateError);
+  for (const auto& op : lifecycle_backends(k)) {
+    const Factorizable<double>& f = *op->factorizable();
+    EXPECT_FALSE(f.factorized()) << op->name();
+    EXPECT_THROW((void)f.solve(b), StateError) << op->name();
+    EXPECT_THROW((void)f.logdet(), StateError) << op->name();
+    EXPECT_THROW((void)f.factorization_stats(), StateError) << op->name();
+    EXPECT_THROW(
+        preconditioned_solve<double>(*op, 1.0, b, b, f,
+                                     SolveOptions::defaults()
+                                         .with_max_iterations(10)),
+        StateError)
+        << op->name();
+  }
+}
+
+TEST(FactorizableState, FailedRetuneDropsFactorsAndKeepsOptions) {
+  // A retune that throws must leave the operator loudly unfactorized (its
+  // factor bytes released), and the next retune must rebuild with the
+  // options factorize() was given — never silently with defaults
+  // (MixedF32 coming back as Double, strict Cholesky coming back as Auto).
+  const index_t n = 128;
+  auto k = test_kernel(n, 0.5);
+  const la::Matrix<double> b = la::Matrix<double>::random_normal(n, 2, 17);
+  const FactorizeOptions asked = FactorizeOptions::defaults()
+                                     .with_elimination(Elimination::Cholesky)
+                                     .with_precision(Precision::MixedF32);
+  for (const auto& op : lifecycle_backends(k)) {
+    Factorizable<double>& f = *op->factorizable();
+    const std::uint64_t bare = op->memory_bytes();
+    f.factorize(0.5, asked);
+    ASSERT_EQ(f.factorization_stats().precision, Precision::MixedF32)
+        << op->name();
+    // memory_bytes() counts the factors exactly once.
+    EXPECT_GT(f.factorization_stats().memory_bytes, 0u) << op->name();
+    EXPECT_EQ(op->memory_bytes(),
+              bare + f.factorization_stats().memory_bytes)
+        << op->name();
+
+    // λ = −1 makes the leaf blocks indefinite: strict Cholesky refuses.
+    EXPECT_THROW(f.refactorize(-1.0), StateError) << op->name();
+    EXPECT_FALSE(f.factorized()) << op->name();
+    EXPECT_THROW((void)f.solve(b), StateError) << op->name();
+    EXPECT_EQ(op->memory_bytes(), bare) << op->name();
+
+    f.refactorize(0.5);
+    ASSERT_TRUE(f.factorized()) << op->name();
+    EXPECT_EQ(f.factorization_stats().precision, Precision::MixedF32)
+        << op->name();
+    EXPECT_EQ(f.factorization_stats().regularization, 0.5) << op->name();
+    EXPECT_EQ(op->memory_bytes(),
+              bare + f.factorization_stats().memory_bytes)
+        << op->name();
+    EXPECT_LT(operator_residual(*op, 0.5, b, f.solve(b)), 1e-8)
+        << op->name();
+    // Still strict Cholesky: Auto would factor this shift through LDLᵀ.
+    EXPECT_THROW(f.refactorize(-1.0), StateError) << op->name();
+  }
 }
 
 TEST(FactorizableState, CapabilityProbeAcrossBackends) {
-  const index_t n = 128;
-  auto k = test_kernel(n, 0.5);
-  auto kc = CompressedMatrix<double>::compress_unique(k, hss_config());
-  CompressedOperator<double>* op = kc.get();
-  ASSERT_NE(op->factorizable(), nullptr);  // GOFMM can factorize
-  baseline::HodlrOptions hopts;
-  hopts.leaf_size = 64;
-  baseline::Hodlr<double> h(*k, hopts);
-  ASSERT_NE(h.factorizable(), nullptr);    // HODLR can factorize
-  baseline::RandHssOptions sopts;
-  sopts.leaf_size = 64;
-  baseline::RandHss<double> rh(*k, sopts);
-  ASSERT_NE(rh.factorizable(), nullptr);   // randomized HSS can factorize
-
   // Generic path: probe, factorize, solve through the interface only —
   // every backend goes through the one shared ULV engine.
-  la::Matrix<double> b = la::Matrix<double>::random_normal(n, 1, 3);
-  Factorizable<double>* f = op->factorizable();
-  f->factorize(0.5);
-  EXPECT_TRUE(f->factorized());
-  la::Matrix<double> x = f->solve(b);
-  EXPECT_LT(operator_residual(*kc, 0.5, b, x), 1e-10);
-
-  Factorizable<double>* frh = rh.factorizable();
-  frh->factorize(0.5);
-  EXPECT_TRUE(frh->factorized());
-  la::Matrix<double> xrh = frh->solve(b);
-  EXPECT_LT(operator_residual(rh, 0.5, b, xrh), 1e-10);
+  const index_t n = 128;
+  auto k = test_kernel(n, 0.5);
+  const la::Matrix<double> b = la::Matrix<double>::random_normal(n, 1, 3);
+  for (const auto& op : lifecycle_backends(k)) {
+    Factorizable<double>* f = op->factorizable();
+    ASSERT_NE(f, nullptr) << op->name();
+    f->factorize(0.5);
+    EXPECT_TRUE(f->factorized()) << op->name();
+    const la::Matrix<double> x = f->solve(b);
+    EXPECT_LT(operator_residual(*op, 0.5, b, x), 1e-10) << op->name();
+  }
 }
 
 TEST(Regularization, RejectsNonFiniteAndGatesNegativeOnElimination) {

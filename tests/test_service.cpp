@@ -870,6 +870,38 @@ TEST(SolveServiceGofmm, LambdaSweepRetunesTheCachedFactorization) {
   EXPECT_EQ(s.cache.misses, 1u);   // one cold key; the rest were hits
 }
 
+TEST(SolveServiceGofmm, FailedRetuneFailsOnlyItsOwnRequest) {
+#ifdef GOFMM_TSAN
+  GTEST_SKIP() << "zoo matrices are too slow under TSan";
+#endif
+  // A NaN λ makes the retune throw, which drops the cached operator's
+  // factors. That request fails alone; the next request at the λ the entry
+  // still records must re-factorize rather than read the dropped factors.
+  typename SolveService<double>::Options opts;
+  opts.batch_window = microseconds(200);
+  SolveService<double> svc(zoo_builder(512), opts);
+  OperatorSpec spec = diag_spec("K04", 1e-2);
+  spec.config = service_config();
+  const la::Matrix<double> b = la::Matrix<double>::random_normal(512, 1, 23);
+  const ServiceResult<double> first = svc.solve(spec, b);
+
+  OperatorSpec bad = spec;
+  bad.lambda = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)svc.submit_solve(bad, b).get(), Error);
+
+  const ServiceResult<double> again = svc.solve(spec, b);
+  ASSERT_EQ(again.values.rows(), first.values.rows());
+  // The rebuild is a fresh factorize() at the same λ and options, so it
+  // reproduces the original factors bit for bit.
+  for (index_t i = 0; i < b.rows(); ++i)
+    ASSERT_EQ(again.values(i, 0), first.values(i, 0)) << "row " << i;
+
+  const ServiceStats s = svc.stats();
+  EXPECT_EQ(s.cache.builds, 1u);  // the failure never re-compressed
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.failed, 1u);
+}
+
 TEST(SolveServiceGofmm, MixedPrecisionSolveRefinesToDoubleAccuracy) {
 #ifdef GOFMM_TSAN
   GTEST_SKIP() << "zoo matrices are too slow under TSan";
