@@ -9,6 +9,13 @@
 // Three engines execute them: level-synchronous loops, recursive OpenMP
 // tasks, or the HEFT DAG runtime with the dependency structure of Fig. 3.
 //
+// Each task runs on the one thread the engine gives it: its products go
+// through la::gemm_panel, which stays serial for r ≤ 64 right-hand sides,
+// so no OpenMP team is forked inside an engine worker. Tasks borrow the
+// cached K blocks by reference and read ws.x / ws.up in place; only the
+// per-task accumulators (and, with cache_blocks off, the evaluated
+// blocks) are allocated.
+//
 // Everything here is const on the compressed matrix: the per-call state
 // (tree-ordered rhs/outputs in ws.x/ws.y, per-node skeleton weights and
 // potentials in ws.up/ws.down, the flop counter) lives in the caller's
@@ -21,6 +28,23 @@
 #include "util/timer.hpp"
 
 namespace gofmm {
+
+namespace {
+
+// C += A B, where A is C.rows()-by-k with leading dimension lda and B is
+// k-by-C.cols() with leading dimension ldb, both read in place. gemm_panel
+// updates C at every k, so splitting a product over k (internal N2S) or
+// accumulating it block by block (S2S, L2L) does not change its bits.
+template <typename T>
+void add_product(const T* a, index_t lda, index_t k, const T* b, index_t ldb,
+                 la::Matrix<T>& c, EvalWorkspace<T>& ws) {
+  la::gemm_panel(c.rows(), c.cols(), k, T(1), a, lda, b, ldb, c.data(),
+                 c.rows());
+  ws.flops.fetch_add(la::FlopCounter::gemm_flops(c.rows(), c.cols(), k),
+                     std::memory_order_relaxed);
+}
+
+}  // namespace
 
 template <typename T>
 void CompressedMatrix<T>::eval_prepare(const la::Matrix<T>& w,
@@ -54,29 +78,21 @@ void CompressedMatrix<T>::task_n2s(const tree::Node* node,
                                    EvalWorkspace<T>& ws) const {
   const NodeData& nd = data_[std::size_t(node->id)];
   if (nd.skel.empty()) return;
-  const index_t r = ws.x.cols();
+  const la::Matrix<T>& p = nd.proj;
   la::Matrix<T>& w_skel = ws.up[std::size_t(node->id)];
+  w_skel.fill(T(0));
   if (node->is_leaf()) {
-    // w̃ = P_α̃α w_α over the leaf's contiguous rows.
-    const la::Matrix<T> wloc = ws.x.block(node->begin, 0, node->count, r);
-    la::gemm(la::Op::None, la::Op::None, T(1), nd.proj, wloc, T(0), w_skel);
-    ws.flops.fetch_add(
-        la::FlopCounter::gemm_flops(nd.proj.rows(), r, nd.proj.cols()),
-        std::memory_order_relaxed);
+    // w̃ = P_α̃α w_α, reading the leaf's rows of ws.x in place.
+    add_product(p.data(), p.rows(), p.cols(), ws.x.col(0) + node->begin,
+                ws.x.rows(), w_skel, ws);
   } else {
-    // w̃ = P_α̃[l̃r̃] [w̃_l; w̃_r].
+    // w̃ = P_α̃[l̃r̃] [w̃_l; w̃_r], one column half of P per child.
     const la::Matrix<T>& wl = ws.up[std::size_t(node->left()->id)];
     const la::Matrix<T>& wr = ws.up[std::size_t(node->right()->id)];
-    la::Matrix<T> stacked(wl.rows() + wr.rows(), r);
-    for (index_t j = 0; j < r; ++j) {
-      std::copy_n(wl.col(j), wl.rows(), stacked.col(j));
-      std::copy_n(wr.col(j), wr.rows(), stacked.col(j) + wl.rows());
-    }
-    la::gemm(la::Op::None, la::Op::None, T(1), nd.proj, stacked, T(0),
-             w_skel);
-    ws.flops.fetch_add(
-        la::FlopCounter::gemm_flops(nd.proj.rows(), r, nd.proj.cols()),
-        std::memory_order_relaxed);
+    add_product(p.data(), p.rows(), wl.rows(), wl.data(), wl.rows(), w_skel,
+                ws);
+    add_product(p.col(wl.rows()), p.rows(), wr.rows(), wr.data(), wr.rows(),
+                w_skel, ws);
   }
 }
 
@@ -87,16 +103,12 @@ void CompressedMatrix<T>::task_s2s(const tree::Node* node,
   if (nd.skel.empty()) return;
   la::Matrix<T>& u_skel = ws.down[std::size_t(node->id)];
   u_skel.fill(T(0));
-  if (nd.far.empty()) return;
-  const index_t r = ws.x.cols();
+  la::Matrix<T> scratch;
   for (std::size_t t = 0; t < nd.far.size(); ++t) {
-    const tree::Node* alpha = nd.far[t];
-    const la::Matrix<T>& w_alpha = ws.up[std::size_t(alpha->id)];
-    const la::Matrix<T> kba = far_block(node, t);
-    la::gemm(la::Op::None, la::Op::None, T(1), kba, w_alpha, T(1), u_skel);
-    ws.flops.fetch_add(
-        la::FlopCounter::gemm_flops(kba.rows(), r, kba.cols()),
-        std::memory_order_relaxed);
+    const la::Matrix<T>& w_alpha = ws.up[std::size_t(nd.far[t]->id)];
+    const la::Matrix<T>& kba = far_block(node, t, scratch);
+    add_product(kba.data(), kba.rows(), kba.cols(), w_alpha.data(),
+                w_alpha.rows(), u_skel, ws);
   }
 }
 
@@ -108,11 +120,10 @@ void CompressedMatrix<T>::task_s2n(const tree::Node* node,
   const index_t r = ws.x.cols();
   const la::Matrix<T>& u_skel = ws.down[std::size_t(node->id)];
   // tmp = P^T ũ_β.
-  la::Matrix<T> tmp(nd.proj.cols(), r);
-  la::gemm(la::Op::Trans, la::Op::None, T(1), nd.proj, u_skel, T(0), tmp);
-  ws.flops.fetch_add(
-      la::FlopCounter::gemm_flops(nd.proj.cols(), r, nd.proj.rows()),
-      std::memory_order_relaxed);
+  const la::Matrix<T> pt = nd.proj.transposed();
+  la::Matrix<T> tmp(pt.rows(), r);
+  add_product(pt.data(), pt.rows(), pt.cols(), u_skel.data(), u_skel.rows(),
+              tmp, ws);
   if (node->is_leaf()) {
     // Accumulate into the leaf's output rows.
     for (index_t j = 0; j < r; ++j) {
@@ -140,14 +151,12 @@ void CompressedMatrix<T>::task_l2l(const tree::Node* node,
   const NodeData& nd = data_[std::size_t(node->id)];
   const index_t r = ws.x.cols();
   la::Matrix<T> acc(node->count, r);
+  la::Matrix<T> scratch;
   for (std::size_t t = 0; t < nd.near.size(); ++t) {
     const tree::Node* alpha = nd.near[t];
-    const la::Matrix<T> kba = near_block(node, t);
-    const la::Matrix<T> wloc = ws.x.block(alpha->begin, 0, alpha->count, r);
-    la::gemm(la::Op::None, la::Op::None, T(1), kba, wloc, T(1), acc);
-    ws.flops.fetch_add(
-        la::FlopCounter::gemm_flops(kba.rows(), r, kba.cols()),
-        std::memory_order_relaxed);
+    const la::Matrix<T>& kba = near_block(node, t, scratch);
+    add_product(kba.data(), kba.rows(), kba.cols(),
+                ws.x.col(0) + alpha->begin, ws.x.rows(), acc, ws);
   }
   for (index_t j = 0; j < r; ++j) {
     T* dst = ws.y.col(j) + node->begin;

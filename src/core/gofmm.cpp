@@ -151,27 +151,29 @@ template <typename T>
 void CompressedMatrix<T>::release_workspace(
     std::unique_ptr<EvalWorkspace<T>> ws) const {
   std::lock_guard<std::mutex> lock(pool_mutex_);
-  // Bound the pool at the peak concurrency seen so far, with a small cap
-  // so a burst of parallel matvecs does not pin workspace memory forever.
+  // Keep at most 16 idle workspaces: a burst of parallel matvecs beyond
+  // that drops its extra workspaces instead of pinning their memory.
   if (pool_.size() < 16) pool_.push_back(std::move(ws));
 }
 
 template <typename T>
-la::Matrix<T> CompressedMatrix<T>::near_block(const tree::Node* beta,
-                                              std::size_t t) const {
+const la::Matrix<T>& CompressedMatrix<T>::near_block(
+    const tree::Node* beta, std::size_t t, la::Matrix<T>& scratch) const {
   const NodeData& nd = data_[std::size_t(beta->id)];
   if (!nd.near_blocks.empty()) return nd.near_blocks[t];
   const tree::Node* alpha = nd.near[t];
-  return k_->submatrix(tree_->indices(beta), tree_->indices(alpha));
+  scratch = k_->submatrix(tree_->indices(beta), tree_->indices(alpha));
+  return scratch;
 }
 
 template <typename T>
-la::Matrix<T> CompressedMatrix<T>::far_block(const tree::Node* beta,
-                                             std::size_t t) const {
+const la::Matrix<T>& CompressedMatrix<T>::far_block(
+    const tree::Node* beta, std::size_t t, la::Matrix<T>& scratch) const {
   const NodeData& nd = data_[std::size_t(beta->id)];
   if (!nd.far_blocks.empty()) return nd.far_blocks[t];
   const tree::Node* alpha = nd.far[t];
-  return k_->submatrix(nd.skel, data_[std::size_t(alpha->id)].skel);
+  scratch = k_->submatrix(nd.skel, data_[std::size_t(alpha->id)].skel);
+  return scratch;
 }
 
 template <typename T>

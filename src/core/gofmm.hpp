@@ -194,9 +194,12 @@ class CompressedMatrix final : public HierarchicalOperator<T> {
   void eval_with_levels(EvalWorkspace<T>& ws) const;
   void eval_with_omp_tasks(EvalWorkspace<T>& ws) const;
 
-  // Block access: cached or evaluated on demand.
-  la::Matrix<T> near_block(const tree::Node* beta, std::size_t t) const;
-  la::Matrix<T> far_block(const tree::Node* beta, std::size_t t) const;
+  // Block access: the cached block by reference, or (cache_blocks off)
+  // the block evaluated on demand into the caller's `scratch`.
+  const la::Matrix<T>& near_block(const tree::Node* beta, std::size_t t,
+                                  la::Matrix<T>& scratch) const;
+  const la::Matrix<T>& far_block(const tree::Node* beta, std::size_t t,
+                                 la::Matrix<T>& scratch) const;
 
   // Workspace pool backing the evaluate() convenience path.
   [[nodiscard]] std::unique_ptr<EvalWorkspace<T>> acquire_workspace() const;

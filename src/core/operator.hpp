@@ -289,9 +289,12 @@ struct EvalWorkspace {
   /// Clears the call-scoped state (counters, last-call stats) while
   /// RETAINING every buffer's capacity: Matrix::resize assigns in place
   /// when the new extent fits the existing allocation, so a workspace
-  /// cycled through reset() serves same-shape evaluations with zero
-  /// (re)allocations — the contract the service's WorkspacePool
-  /// (src/service/solve_service.hpp) leases workspaces under.
+  /// cycled through reset() serves same-shape evaluations without
+  /// reallocating x, y, up or down — the contract the service's
+  /// WorkspacePool (src/service/solve_service.hpp) leases workspaces
+  /// under. Per-task scratch is not pooled: GOFMM's S2N tasks allocate a
+  /// transposed P and an accumulator, its L2L tasks an accumulator, and
+  /// with cache_blocks off S2S/L2L evaluate their K blocks on demand.
   void reset() noexcept {
     flops.store(0, std::memory_order_relaxed);
     last = EvaluationStats{};

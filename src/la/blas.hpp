@@ -15,9 +15,8 @@ enum class Op { None, Trans };
 
 /// C = alpha * op(A) * op(B) + beta * C.
 ///
-/// General matrix-matrix multiply; the workhorse of skeletonization and of
-/// the N2S/S2S/S2N/L2L evaluation tasks. Blocked for cache and parallelised
-/// over column panels with OpenMP.
+/// General matrix-matrix multiply; the workhorse of skeletonization.
+/// Blocked for cache and parallelised over column panels with OpenMP.
 template <typename T>
 void gemm(Op opa, Op opb, T alpha, const Matrix<T>& a, const Matrix<T>& b,
           T beta, Matrix<T>& c);
@@ -43,8 +42,12 @@ void trsm(bool upper, Op opa, bool unit_diag, T alpha, const Matrix<T>& a,
 /// explicit leading dimensions (A m-by-k/lda, B k-by-n/ldb, C m-by-n/ldc).
 /// This is the in-place trailing-submatrix update the blocked POTRF/GETRF
 /// panels in la/lapack.cpp run at matrix-multiply speed — no O(n²) copies
-/// of the trailing block per panel step. Same cache tiling and OpenMP
-/// column-panel parallelism as gemm().
+/// of the trailing block per panel step — and the product behind the
+/// N2S/S2S/S2N/L2L evaluation tasks (core/evaluator.cpp), which read cached
+/// blocks and strided rhs rows in place. Same cache tiling as gemm(); the
+/// OpenMP column-panel team is forked only for n > 64, so an r ≤ 64 product
+/// stays on the calling thread. C is loaded and stored at every k, so a
+/// product split over k gives the same bits as the unsplit one.
 template <typename T>
 void gemm_panel(index_t m, index_t n, index_t k, T alpha, const T* a,
                 index_t lda, const T* b, index_t ldb, T* c, index_t ldc);
