@@ -5,7 +5,10 @@
 // sustain on the host, which bounds every GFs column in the tables.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "la/blas.hpp"
+#include "la/flops.hpp"
 #include "la/lapack.hpp"
 #include "la/ldlt.hpp"
 #include "la/qr.hpp"
@@ -72,6 +75,39 @@ void BM_Geqp3EarlyExit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Geqp3EarlyExit)->Arg(128)->Arg(256);
+
+void BM_Geqp3Skel(benchmark::State& state) {
+  // The SKEL shape (paper §2.2): a sampled (2n+32)-by-n off-diagonal
+  // Gaussian-kernel block, n points against 2n+32 well-separated ones,
+  // factored to the paper's default tolerance 1e-5. GF/s uses the same
+  // 2·m·n·rank model as core.skel_gflops.
+  const index_t n = state.range(0);
+  const index_t m = 2 * n + 32;
+  const auto src = Matrix<double>::random_normal(3, n, 10);
+  const auto dst = Matrix<double>::random_normal(3, m, 11);
+  Matrix<double> a(m, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      double d2 = 0;
+      for (index_t t = 0; t < 3; ++t) {
+        const double d = dst(t, i) + (t == 0 ? 4.0 : 0.0) - src(t, j);
+        d2 += d * d;
+      }
+      a(i, j) = std::exp(-d2 / 8.0);
+    }
+  index_t rank = 0;
+  for (auto _ : state) {
+    auto qr = gofmm::la::geqp3(a, 1e-5, 0);
+    rank = qr.rank;
+    benchmark::DoNotOptimize(qr.r.data());
+  }
+  state.counters["rank"] = double(rank);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      double(gofmm::la::FlopCounter::qr_flops(m, n, rank)) *
+          double(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Geqp3Skel)->Arg(128)->Arg(150);
 
 void BM_Trsm(benchmark::State& state) {
   const index_t n = state.range(0);

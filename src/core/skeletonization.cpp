@@ -7,8 +7,6 @@
 // interior nodes — this nesting gives the telescoping coefficient matrices
 // of Eq. 10. Rows I' are drawn by neighbor-based importance sampling.
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/gofmm.hpp"
 #include "la/flops.hpp"
@@ -30,38 +28,51 @@ std::vector<index_t> CompressedMatrix<T>::sample_rows_for(
 
   std::vector<index_t> rows;
   rows.reserve(std::size_t(want));
-  std::unordered_set<index_t> taken;
 
   // Importance sampling: neighbors of the node's columns that live outside
-  // the subtree, ranked by vote count (how many columns list them).
+  // the subtree, ranked by vote count (how many columns list them), ties
+  // by index. Votes are counted by sorting the flat candidate list.
   if (config_.neighbor_sampling && neighbors_.kappa > 0) {
-    std::unordered_map<index_t, index_t> votes;
+    std::vector<index_t> cand;
+    cand.reserve(columns.size() * std::size_t(neighbors_.kappa));
     for (index_t c : columns)
       for (index_t j : neighbors_.of(c))
-        if (j >= 0 && !inside(j)) votes[j] += 1;
-    std::vector<std::pair<index_t, index_t>> ranked(votes.begin(),
-                                                    votes.end());
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-      return a.second != b.second ? a.second > b.second : a.first < b.first;
-    });
+        if (j >= 0 && !inside(j)) cand.push_back(j);
+    std::sort(cand.begin(), cand.end());
+    std::vector<std::pair<index_t, index_t>> ranked;  // (row, votes)
+    for (std::size_t i = 0; i < cand.size();) {
+      std::size_t e = i + 1;
+      while (e < cand.size() && cand[e] == cand[i]) ++e;
+      ranked.emplace_back(cand[i], index_t(e - i));
+      i = e;
+    }
+    // Stable on the index-sorted runs: equal votes keep ascending index.
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.second > b.second;
+                     });
     for (const auto& [j, cnt] : ranked) {
       if (index_t(rows.size()) >= want) break;
       rows.push_back(j);
-      taken.insert(j);
     }
   }
 
   // Uniform fill from outside the subtree (also the whole sample when
-  // neighbor sampling is off or unavailable).
+  // neighbor sampling is off or unavailable). `taken` mirrors `rows`,
+  // kept sorted for the duplicate check.
+  std::vector<index_t> taken(rows);
+  std::sort(taken.begin(), taken.end());
   const index_t avail = n_ - node->count;
   const index_t target = std::min(want, avail);
   index_t guard = 0;
   while (index_t(rows.size()) < target && guard < 64 * target) {
     ++guard;
     const index_t j = rng.below(n_);
-    if (inside(j) || taken.count(j) != 0) continue;
+    if (inside(j)) continue;
+    const auto at = std::lower_bound(taken.begin(), taken.end(), j);
+    if (at != taken.end() && *at == j) continue;
     rows.push_back(j);
-    taken.insert(j);
+    taken.insert(at, j);
   }
   return rows;
 }

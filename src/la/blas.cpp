@@ -64,6 +64,25 @@ void gemm_block_scalar(index_t mb, index_t kb, index_t nb, const T* a,
   }
 }
 
+// y[j] = sum_i a(i, j) * x[i] over rows [0, m). Each column sums in four
+// interleaved lanes (row i feeds lane i % 4 for i < m - m % 4), combined
+// as (l0 + l1) + (l2 + l3) before the tail rows: four independent
+// accumulators instead of one latency-bound chain. The AVX2 twin keeps
+// one four-lane register per column, so dispatch never changes bits.
+void gemv_t_scalar(index_t m, index_t n, const double* a, index_t lda,
+                   const double* x, double* y) {
+  const index_t m4 = m - m % 4;
+  for (index_t j = 0; j < n; ++j) {
+    const double* cj = a + j * lda;
+    double s[4] = {};
+    for (index_t i = 0; i < m4; i += 4)
+      for (index_t l = 0; l < 4; ++l) s[l] += cj[i + l] * x[i + l];
+    double t = (s[0] + s[1]) + (s[2] + s[3]);
+    for (index_t i = m4; i < m; ++i) t += cj[i] * x[i];
+    y[j] = t;
+  }
+}
+
 #if GOFMM_X86_DISPATCH
 
 // Hand-vectorised AVX2 twins of gemm_block_scalar. Deliberately explicit
@@ -179,6 +198,47 @@ __attribute__((target("avx2"))) void gemm_block_avx2(
   }
 }
 
+// Finishes one column of gemv_t_avx2: lanes combined as in the scalar
+// kernel, then the tail rows.
+__attribute__((target("avx2"))) inline double gemv_t_finish(
+    __m256d acc, index_t m4, index_t m, const double* col, const double* x) {
+  alignas(32) double l[4];
+  _mm256_store_pd(l, acc);
+  double t = (l[0] + l[1]) + (l[2] + l[3]);
+  for (index_t i = m4; i < m; ++i) t += col[i] * x[i];
+  return t;
+}
+
+__attribute__((target("avx2"))) void gemv_t_avx2(index_t m, index_t n,
+                                                 const double* a, index_t lda,
+                                                 const double* x, double* y) {
+  const index_t m4 = m - m % 4;
+  index_t j = 0;
+  // Eight columns per sweep: eight independent add chains hide the add
+  // latency; each column's arithmetic is the scalar kernel's.
+  for (; j + 8 <= n; j += 8) {
+    const double* c = a + j * lda;
+    __m256d s[8];
+    for (int q = 0; q < 8; ++q) s[q] = _mm256_setzero_pd();
+    for (index_t i = 0; i < m4; i += 4) {
+      const __m256d xv = _mm256_loadu_pd(x + i);
+      for (int q = 0; q < 8; ++q)
+        s[q] = _mm256_add_pd(
+            s[q], _mm256_mul_pd(_mm256_loadu_pd(c + q * lda + i), xv));
+    }
+    for (int q = 0; q < 8; ++q)
+      y[j + q] = gemv_t_finish(s[q], m4, m, c + q * lda, x);
+  }
+  for (; j < n; ++j) {
+    const double* cj = a + j * lda;
+    __m256d s = _mm256_setzero_pd();
+    for (index_t i = 0; i < m4; i += 4)
+      s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_loadu_pd(cj + i),
+                                         _mm256_loadu_pd(x + i)));
+    y[j] = gemv_t_finish(s, m4, m, cj, x);
+  }
+}
+
 #endif  // GOFMM_X86_DISPATCH
 
 // One dispatch point: cached per-type function pointers, initialised on
@@ -193,6 +253,9 @@ template <typename T>
 struct GemmDispatch {
   static inline std::atomic<GemmBlockFn<T>> fn{nullptr};
 };
+using GemvTFn = void (*)(index_t, index_t, const double*, index_t,
+                         const double*, double*);
+std::atomic<GemvTFn> g_gemv_t{nullptr};
 std::atomic<const char*> g_kernel_name{nullptr};
 
 bool want_avx2() {
@@ -217,6 +280,7 @@ void dispatch_kernels() {
     GemmDispatch<float>::fn.store(
         static_cast<GemmBlockFn<float>>(&gemm_block_avx2),
         std::memory_order_relaxed);
+    g_gemv_t.store(&gemv_t_avx2, std::memory_order_relaxed);
     g_kernel_name.store("avx2", std::memory_order_release);
     return;
   }
@@ -226,6 +290,7 @@ void dispatch_kernels() {
                                  std::memory_order_relaxed);
   GemmDispatch<float>::fn.store(&gemm_block_scalar<float>,
                                 std::memory_order_relaxed);
+  g_gemv_t.store(&gemv_t_scalar, std::memory_order_relaxed);
   g_kernel_name.store("scalar", std::memory_order_release);
 }
 
@@ -299,6 +364,16 @@ const char* gemm_kernel_name() {
 }
 
 void gemm_kernel_refresh() { dispatch_kernels(); }
+
+void gemv_t_panel(index_t m, index_t n, const double* a, index_t lda,
+                  const double* x, double* y) {
+  GemvTFn fn = g_gemv_t.load(std::memory_order_relaxed);
+  if (fn == nullptr) {
+    dispatch_kernels();
+    fn = g_gemv_t.load(std::memory_order_relaxed);
+  }
+  fn(m, n, a, lda, x, y);
+}
 
 template <typename T>
 void gemm(Op opa, Op opb, T alpha, const Matrix<T>& a, const Matrix<T>& b,

@@ -52,6 +52,15 @@ template <typename T>
 void gemm_panel(index_t m, index_t n, index_t k, T alpha, const T* a,
                 index_t lda, const T* b, index_t ldb, T* c, index_t ldc);
 
+/// Raw-pointer transposed GEMV: y[j] = Σᵢ A(i, j)·x[i] for the n columns
+/// of a column-major m-by-n block with leading dimension lda. The F = τ·Aᵀv
+/// column of the blocked pivoted QR (la/lapack.cpp). Each column sums in
+/// four interleaved lanes, so the reduction is not one latency-bound chain;
+/// the AVX2 kernel and the portable one run the same per-lane sequence and
+/// return the same bits. Serial: no OpenMP team.
+void gemv_t_panel(index_t m, index_t n, const double* a, index_t lda,
+                  const double* x, double* y);
+
 /// Symmetric rank-k update, lower triangle: C = alpha*A*A^T + beta*C.
 /// Only the lower triangle of C is written; the caller may symmetrise.
 template <typename T>

@@ -1,7 +1,9 @@
 #include "la/lapack.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 namespace gofmm::la {
 
@@ -102,91 +104,154 @@ Matrix<T> spd_inverse(Matrix<T> a) {
   return inv;
 }
 
-template <typename T>
-PivotedQr<T> geqp3(Matrix<T> a, T rel_tol, index_t max_rank) {
+namespace {
+
+// Columns per GEQP3 panel: the reflectors folded into one trailing GEMM
+// (LAPACK's xGEQP3 default block size).
+constexpr index_t kQrcpBlock = 32;
+
+// Blocked column-pivoted Householder QR (LAPACK xLAQPS), in place on a
+// double matrix. Within a panel of up to kQrcpBlock columns only the
+// pivot column (lazily, from the panel's reflectors) and the pivot row are
+// brought up to date; the reflectors accumulate in F = τ·Aᵀv, and the
+// trailing block is updated once per panel by ONE gemm_panel,
+//   A(k:m, k:n) -= V(k:m, panel) · F(k:n, panel)ᵀ.
+// Serial by design: the only parallelism is gemm_panel's own (a one-thread
+// team on rt::Scheduler workers).
+PivotedQr<double> qrcp(Matrix<double>& a, double rel_tol, index_t max_rank) {
   const index_t m = a.rows(), n = a.cols();
   const index_t kmax0 = std::min(m, n);
-  const index_t kmax =
-      (max_rank > 0) ? std::min(kmax0, max_rank) : kmax0;
+  const index_t kmax = (max_rank > 0) ? std::min(kmax0, max_rank) : kmax0;
 
-  PivotedQr<T> out;
+  PivotedQr<double> out;
   out.jpvt.resize(std::size_t(n));
   for (index_t j = 0; j < n; ++j) out.jpvt[std::size_t(j)] = j;
 
-  // Partial column norms, maintained by downdating (LAPACK-style) with a
-  // recompute guard against cancellation.
+  // Partial column norms, maintained by downdating with a recompute guard
+  // against cancellation. A column flagged for recompute ends the panel;
+  // its norm is recomputed once the trailing block is up to date.
   std::vector<double> cnorm(std::size_t(n), 0.0);
   std::vector<double> cnorm0(std::size_t(n), 0.0);
   for (index_t j = 0; j < n; ++j) {
     cnorm[std::size_t(j)] = nrm2(m, a.col(j));
     cnorm0[std::size_t(j)] = cnorm[std::size_t(j)];
   }
+  std::vector<index_t> stale;
+
+  // ft(c, j) = F(j, c): column j's coefficients against the panel's
+  // reflector c, stored so gemm_panel reads F(k:n, panel)ᵀ in place.
+  const index_t nb = std::min(kQrcpBlock, std::max<index_t>(kmax, 1));
+  Matrix<double> ft(nb, n);
+  std::vector<double> work(std::size_t(n), 0.0);
+  std::vector<double> aux(std::size_t(nb), 0.0);
 
   double r00 = 0.0;
   index_t k = 0;
-  for (; k < kmax; ++k) {
-    // Pivot: bring the column with the largest partial norm to position k.
-    index_t p = k;
-    for (index_t j = k + 1; j < n; ++j)
-      if (cnorm[std::size_t(j)] > cnorm[std::size_t(p)]) p = j;
-    if (p != k) {
-      for (index_t i = 0; i < m; ++i) std::swap(a(i, k), a(i, p));
-      std::swap(cnorm[std::size_t(k)], cnorm[std::size_t(p)]);
-      std::swap(cnorm0[std::size_t(k)], cnorm0[std::size_t(p)]);
-      std::swap(out.jpvt[std::size_t(k)], out.jpvt[std::size_t(p)]);
-    }
-
-    // Householder vector for column k, rows k..m-1.
-    const double alpha = nrm2(m - k, a.col(k) + k);
-    if (k == 0) r00 = alpha;
-    // Rank-revealing early exit: the next diagonal of R estimates
-    // sigma_{k+1}; stop once it falls below the relative tolerance.
-    if (rel_tol > T(0) && alpha <= double(rel_tol) * std::max(r00, 1e-300))
-      break;
-    if (alpha == 0.0) break;
-
-    const T akk = a(k, k);
-    const double beta = (double(akk) >= 0.0) ? -alpha : alpha;
-    // v = x - beta*e1, normalised so v[0] = 1.
-    const T v0 = T(double(akk) - beta);
-    if (std::abs(double(v0)) < std::numeric_limits<double>::min()) {
-      // Column already zero below the diagonal with x aligned to e1.
-      a(k, k) = T(beta);
-      for (index_t i = k + 1; i < m; ++i) a(i, k) = T(0);
-    } else {
-      const T inv_v0 = T(1) / v0;
-      for (index_t i = k + 1; i < m; ++i) a(i, k) *= inv_v0;
-      const double tau = double(beta - double(akk)) / beta;  // 2/(v^T v) scaled
-      a(k, k) = T(beta);
-
-      // Apply H = I - tau * v v^T to trailing columns.
-#pragma omp parallel for schedule(static) if (n - k > 32)
-      for (index_t j = k + 1; j < n; ++j) {
-        T* cj = a.col(j);
-        double s = double(cj[k]);
-        for (index_t i = k + 1; i < m; ++i)
-          s += double(a(i, k)) * double(cj[i]);
-        const T ts = T(tau * s);
-        cj[k] -= ts;
-        for (index_t i = k + 1; i < m; ++i) cj[i] -= a(i, k) * ts;
+  bool stopped = false;
+  while (k < kmax && !stopped) {
+    const index_t p0 = k;  // first column of this panel
+    index_t c = 0;         // reflectors accumulated in the panel
+    while (k < kmax) {
+      // Pivot: bring the column with the largest partial norm to k.
+      index_t p = k;
+      for (index_t j = k + 1; j < n; ++j)
+        if (cnorm[std::size_t(j)] > cnorm[std::size_t(p)]) p = j;
+      if (p != k) {
+        std::swap_ranges(a.col(k), a.col(k) + m, a.col(p));
+        std::swap_ranges(ft.col(k), ft.col(k) + c, ft.col(p));
+        std::swap(cnorm[std::size_t(k)], cnorm[std::size_t(p)]);
+        std::swap(cnorm0[std::size_t(k)], cnorm0[std::size_t(p)]);
+        std::swap(out.jpvt[std::size_t(k)], out.jpvt[std::size_t(p)]);
       }
-    }
 
-    // Downdate partial norms for columns right of k.
-    for (index_t j = k + 1; j < n; ++j) {
-      double& cn = cnorm[std::size_t(j)];
-      if (cn == 0.0) continue;
-      const double t = std::abs(double(a(k, j))) / cn;
-      const double f = std::max(0.0, (1.0 + t) * (1.0 - t));
-      const double ratio = cn / std::max(cnorm0[std::size_t(j)], 1e-300);
-      if (f * ratio * ratio <= 1e-12) {
-        // Cancellation risk: recompute exactly.
-        cn = nrm2(m - k - 1, a.col(j) + k + 1);
-        cnorm0[std::size_t(j)] = cn;
+      // Lazy update of the pivot column by the panel's reflectors:
+      // A(k:m, k) -= V(k:m, p0:k) · F(k, p0:k)ᵀ.
+      double* ak = a.col(k);
+      for (index_t t = 0; t < c; ++t) {
+        const double f = ft(t, k);
+        const double* vt = a.col(p0 + t);
+        for (index_t i = k; i < m; ++i) ak[i] -= vt[i] * f;
+      }
+
+      // Rank-revealing early exit: the next diagonal of R estimates
+      // sigma_{k+1}; stop once it falls below the relative tolerance.
+      const double alpha = nrm2(m - k, ak + k);
+      if (k == 0) r00 = alpha;
+      if ((rel_tol > 0.0 && alpha <= rel_tol * std::max(r00, 1e-300)) ||
+          alpha == 0.0) {
+        stopped = true;
+        break;
+      }
+
+      // Householder vector v = x - beta*e1, normalised so v[0] = 1; a zero
+      // tau (column already aligned with e1) makes the reflector I.
+      const double akk = ak[k];
+      const double beta = (akk >= 0.0) ? -alpha : alpha;
+      const double v0 = akk - beta;
+      double tau = 0.0;
+      if (std::abs(v0) < std::numeric_limits<double>::min()) {
+        for (index_t i = k + 1; i < m; ++i) ak[i] = 0.0;
       } else {
-        cn *= std::sqrt(f);
+        const double inv_v0 = 1.0 / v0;
+        for (index_t i = k + 1; i < m; ++i) ak[i] *= inv_v0;
+        tau = (beta - akk) / beta;
       }
+      ak[k] = 1.0;  // v(0), until the pivot row is updated
+
+      // F(k+1:n, c) = tau·A(k:m, k+1:n)ᵀv over the not-yet-updated
+      // trailing block, corrected for the panel's earlier reflectors:
+      // F(:, c) -= tau·F(:, 0:c)·(V(k:m, 0:c)ᵀv).
+      const index_t nt = n - k - 1;
+      if (tau != 0.0 && nt > 0) {
+        gemv_t_panel(m - k, nt, a.col(k + 1) + k, m, ak + k, work.data());
+        for (index_t j = 0; j < nt; ++j)
+          ft(c, k + 1 + j) = tau * work[std::size_t(j)];
+        if (c > 0) {
+          gemv_t_panel(m - k, c, a.col(p0) + k, m, ak + k, aux.data());
+          for (index_t t = 0; t < c; ++t) aux[std::size_t(t)] *= -tau;
+          gemv_t_panel(c, nt, ft.col(k + 1), nb, aux.data(), work.data());
+          for (index_t j = 0; j < nt; ++j)
+            ft(c, k + 1 + j) += work[std::size_t(j)];
+        }
+      } else {
+        for (index_t j = k + 1; j < n; ++j) ft(c, j) = 0.0;
+      }
+
+      // Pivot row: A(k, k+1:n) -= V(k, p0:k+1) · F(k+1:n, 0:c+1)ᵀ.
+      for (index_t t = 0; t <= c; ++t) aux[std::size_t(t)] = a(k, p0 + t);
+      gemv_t_panel(c + 1, nt, ft.col(k + 1), nb, aux.data(), work.data());
+      for (index_t j = 0; j < nt; ++j) a(k, k + 1 + j) -= work[std::size_t(j)];
+      ak[k] = beta;
+
+      // Downdate partial norms of the columns right of k.
+      for (index_t j = k + 1; j < n; ++j) {
+        double& cn = cnorm[std::size_t(j)];
+        if (cn == 0.0) continue;
+        const double t = std::abs(a(k, j)) / cn;
+        const double f = std::max(0.0, (1.0 + t) * (1.0 - t));
+        const double ratio = cn / std::max(cnorm0[std::size_t(j)], 1e-300);
+        if (f * ratio * ratio <= 1e-12)
+          stale.push_back(j);  // cancellation risk: recompute exactly
+        else
+          cn *= std::sqrt(f);
+      }
+      ++c;
+      ++k;
+      if (c == nb || !stale.empty()) break;
     }
+
+    // Trailing update with the panel's reflectors, also on an early stop
+    // (where the pivot column k is already current): rows >= rank of R
+    // then hold the updated trailing block.
+    const index_t j0 = stopped ? k + 1 : k;
+    if (c > 0 && j0 < n)
+      gemm_panel(m - k, n - j0, c, -1.0, a.col(p0) + k, m, ft.col(j0), nb,
+                 a.col(j0) + k, m);
+    for (index_t j : stale) {
+      cnorm[std::size_t(j)] = nrm2(m - k, a.col(j) + k);
+      cnorm0[std::size_t(j)] = cnorm[std::size_t(j)];
+    }
+    stale.clear();
   }
   out.rank = k;
 
@@ -197,6 +262,25 @@ PivotedQr<T> geqp3(Matrix<T> a, T rel_tol, index_t max_rank) {
     for (index_t i = 0; i <= std::min(j, kmax0 - 1); ++i)
       out.r(i, j) = a(i, j);
   return out;
+}
+
+}  // namespace
+
+template <typename T>
+PivotedQr<T> geqp3(Matrix<T> a, T rel_tol, index_t max_rank) {
+  if constexpr (std::is_same_v<T, double>) {
+    return qrcp(a, rel_tol, max_rank);
+  } else {
+    // Factored in double: a float panel update drifts the pivots and the
+    // truncation rank enough to move the float accuracy goldens.
+    Matrix<double> ad = convert<double>(a);
+    PivotedQr<double> qd = qrcp(ad, double(rel_tol), max_rank);
+    PivotedQr<T> out;
+    out.r = convert<T>(qd.r);
+    out.jpvt = std::move(qd.jpvt);
+    out.rank = qd.rank;
+    return out;
+  }
 }
 
 namespace {

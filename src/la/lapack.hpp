@@ -57,6 +57,15 @@ void getrs(const Matrix<T>& lu, const std::vector<index_t>& pivots,
 /// |R(k,k)| <= rel_tol * |R(0,0)| — the paper's adaptive-rank criterion
 /// sigma_{s+1} < tau estimated by the pivoted-QR diagonal.
 /// Pass max_rank <= 0 for "no cap"; rel_tol <= 0 for "no tolerance stop".
+/// On an early stop, rows >= rank of R hold the updated trailing block.
+///
+/// Blocked in LAPACK's xLAQPS style: per column only the pivot column, the
+/// pivot row and the partial norms are brought up to date, and the
+/// trailing block takes one gemm_panel update per 32-column panel (a
+/// column whose norm must be recomputed ends the panel early). Serial: no
+/// OpenMP region of its own. Float input is factored in a double copy and
+/// R rounded back, so float and double choose the same pivots up to
+/// input rounding.
 template <typename T>
 PivotedQr<T> geqp3(Matrix<T> a, T rel_tol, index_t max_rank);
 

@@ -1,5 +1,7 @@
 #include "runtime/scheduler.hpp"
 
+#include <omp.h>
+
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -122,7 +124,7 @@ bool acyclic(const std::vector<std::unique_ptr<Task>>& tasks,
 }  // namespace
 
 // Persistent worker pool. Lifecycle: threads start in the constructor and
-// idle on wake_cv until queued_ > 0; dispatches from any thread (submit or
+// idle on wake_cv until queued > 0; dispatches from any thread (submit or
 // a worker releasing successors) enqueue HEFT-style and notify. stop_
 // makes idle workers exit once the queues drain.
 struct Scheduler::Impl {
@@ -159,7 +161,13 @@ struct Scheduler::Impl {
       }
     }
     queues[std::size_t(best)]->push(t);
-    queued.fetch_add(1, std::memory_order_release);
+    // Count under wake_mu: a worker between its (false) wait predicate and
+    // blocking would otherwise miss this notify — a lost wake-up that hangs
+    // run() when this was the graph's last dispatch.
+    {
+      std::lock_guard<std::mutex> lk(wake_mu);
+      queued.fetch_add(1, std::memory_order_release);
+    }
     wake_cv.notify_all();
   }
 
@@ -181,6 +189,10 @@ struct Scheduler::Impl {
   }
 
   void worker(int wid) {
+    // One runtime owns the cores: an OpenMP region entered from a task
+    // runs on a one-thread team instead of forking beside its peers. The
+    // setting is this thread's own; the submitting thread keeps its count.
+    omp_set_num_threads(1);
     WorkerQueue& mine = *queues[std::size_t(wid)];
     for (;;) {
       Task* t = mine.pop_front();

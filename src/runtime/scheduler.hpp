@@ -13,6 +13,12 @@
 // (submit(), returning a future) — concurrent submits from different
 // threads interleave on the one pool, which is how the service overlaps
 // operator builds with solve sweeps.
+//
+// Tasks see one OpenMP thread: each worker sets its own OpenMP thread
+// count to 1 at start, so a kernel's `omp parallel` region entered from a
+// task (gemm_panel, trsm, ...) runs serially on that worker and the pool,
+// not nested OpenMP teams, owns the cores. Threads that call run() or
+// submit() keep their own OpenMP thread count.
 #pragma once
 
 #include <future>

@@ -835,6 +835,206 @@ TEST(Geqp3, PreservesColumnNormsInR) {
   }
 }
 
+// The blocked geqp3 folds reflectors into one trailing update per panel
+// of 32 columns; the cases below straddle that panel, stop inside it, and
+// hit the norm-recompute and degenerate paths.
+
+/// A·P restricted to the first `r` pivot columns satisfies
+/// (AP)(:, 0:r)ᵀ (AP) = R(0:r, 0:r)ᵀ R(0:r, :), whatever the trailing rows
+/// of R hold — checks pivots, reflectors and R12 without forming Q.
+void expect_leading_gram(const Matrix<double>& a, const PivotedQr<double>& qr,
+                         index_t r, double tol) {
+  const index_t m = a.rows(), n = a.cols();
+  std::vector<index_t> all_rows(std::size_t(m), 0);
+  std::iota(all_rows.begin(), all_rows.end(), index_t(0));
+  const Matrix<double> ap = a.gather(all_rows, qr.jpvt);
+  const double scale = norm_fro(a) * norm_fro(a);
+  for (index_t i = 0; i < r; ++i)
+    for (index_t j = 0; j < n; ++j) {
+      const double g = dot(m, ap.col(i), ap.col(j));
+      double rr = 0;
+      for (index_t t = 0; t <= i; ++t) rr += qr.r(t, i) * qr.r(t, j);
+      ASSERT_NEAR(g, rr, tol * scale) << "(" << i << ", " << j << ")";
+    }
+}
+
+/// ||A p_j|| == ||R(:, j)|| to relative `tol` for every column j (Q
+/// orthogonal, nothing below the extracted trapezoid).
+void expect_column_norms(const Matrix<double>& a,
+                         const PivotedQr<double>& qr, double tol) {
+  for (index_t j = 0; j < a.cols(); ++j) {
+    const index_t orig = qr.jpvt[std::size_t(j)];
+    double nr = 0;
+    for (index_t i = 0; i < qr.r.rows(); ++i) nr += qr.r(i, j) * qr.r(i, j);
+    const double na = nrm2(a.rows(), a.col(orig));
+    EXPECT_NEAR(na, std::sqrt(nr), tol * na) << "column " << j;
+  }
+}
+
+void expect_permutation(const std::vector<index_t>& p, index_t n) {
+  ASSERT_EQ(index_t(p.size()), n);
+  std::vector<bool> seen(std::size_t(n), false);
+  for (index_t j : p) {
+    ASSERT_GE(j, 0);
+    ASSERT_LT(j, n);
+    EXPECT_FALSE(seen[std::size_t(j)]);
+    seen[std::size_t(j)] = true;
+  }
+}
+
+TEST(Geqp3, WidthsAroundThePanel) {
+  for (const index_t m : {index_t(70), index_t(200)})
+    for (const index_t n : {index_t(31), index_t(32), index_t(33),
+                            index_t(97)}) {
+      SCOPED_TRACE(::testing::Message() << m << "x" << n);
+      const Matrix<double> a =
+          Matrix<double>::random_normal(m, n, std::uint64_t(700 + m + n));
+      const auto qr = geqp3(a, 0.0, 0);
+      expect_permutation(qr.jpvt, n);
+      EXPECT_EQ(qr.rank, std::min(m, n));
+      for (index_t k = 1; k < qr.rank; ++k)
+        EXPECT_LE(std::abs(qr.r(k, k)), std::abs(qr.r(k - 1, k - 1)) + 1e-12);
+      expect_leading_gram(a, qr, qr.rank, 1e-13);
+      if (m >= n) expect_column_norms(a, qr, 1e-9);
+    }
+}
+
+TEST(Geqp3, MaxRankStopsMidPanel) {
+  // Wide with m = max_rank + 1: every column of R then spans all m rows,
+  // so the norm identity holds for every column only if the pending panel
+  // update reached the trailing row before R was extracted.
+  const index_t m = 20, n = 60;
+  const Matrix<double> a = Matrix<double>::random_normal(m, n, 711);
+  const auto qr = geqp3(a, 0.0, m - 1);
+  ASSERT_EQ(qr.rank, m - 1);
+  expect_permutation(qr.jpvt, n);
+  expect_column_norms(a, qr, 1e-9);
+  expect_leading_gram(a, qr, qr.rank, 1e-13);
+  // Stopping agrees with the uncapped factorization up to the stop.
+  const auto full = geqp3(a, 0.0, 0);
+  for (index_t k = 0; k < qr.rank; ++k) {
+    EXPECT_EQ(qr.jpvt[std::size_t(k)], full.jpvt[std::size_t(k)]);
+    EXPECT_NEAR(qr.r(k, k), full.r(k, k), 1e-12);
+  }
+}
+
+TEST(Geqp3, ToleranceStopsMidPanel) {
+  // 20 rows: 19 columns of size 1 and 26 of size 1e-8. The tolerance stops
+  // at 19, inside the first panel, and no norm has cancelled enough to end
+  // the panel early, so the stop finds the panel's update still pending.
+  // Row 19 of R must then hold the updated trailing row; left stale it
+  // keeps A's own entries and breaks the norm identity of the small
+  // columns.
+  const index_t m = 20, n = 45;
+  Matrix<double> a = Matrix<double>::random_normal(m, n, 712);
+  for (index_t j = m - 1; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) a(i, j) *= 1e-8;
+  const auto qr = geqp3(a, 1e-6, 0);
+  ASSERT_EQ(qr.rank, m - 1);
+  expect_permutation(qr.jpvt, n);
+  expect_column_norms(a, qr, 1e-9);
+  expect_leading_gram(a, qr, qr.rank, 1e-13);
+  // The next diagonal, the ID's error estimate, is a small column's.
+  EXPECT_LT(std::abs(qr.r(m - 1, m - 1)), 1e-6 * std::abs(qr.r(0, 0)));
+  EXPECT_GT(std::abs(qr.r(m - 1, m - 1)), 1e-10 * std::abs(qr.r(0, 0)));
+}
+
+TEST(Geqp3, TallToleranceStopMatchesTheId) {
+  // Tall, geometric decay: the tolerance stop lands inside the second
+  // panel, and the ID built on it reconstructs A to the tolerance.
+  const index_t m = 120, n = 80;
+  const Matrix<double> u = Matrix<double>::random_normal(m, n, 713);
+  const Matrix<double> v = Matrix<double>::random_normal(n, n, 714);
+  Matrix<double> us = u;
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) us(i, j) *= std::pow(0.7, double(j));
+  const Matrix<double> a = matmul(us, v);
+  const auto qr = geqp3(a, 1e-8, 0);
+  EXPECT_GT(qr.rank, 32);
+  EXPECT_LT(qr.rank, 64);
+  expect_leading_gram(a, qr, qr.rank, 1e-13);
+  const auto id = interp_decomp(a, 1e-8, 0);
+  std::vector<index_t> all_rows(std::size_t(m), 0);
+  std::iota(all_rows.begin(), all_rows.end(), index_t(0));
+  const Matrix<double> rec = matmul(a.gather(all_rows, id.skel), id.p);
+  EXPECT_LT(diff_fro(rec, a), 1e-6 * norm_fro(a));
+}
+
+TEST(Geqp3, NearCollinearColumnsRecomputeNorms) {
+  // Columns u + 1e-7·noise: after the first reflector removes u, every
+  // downdated norm has cancelled to ~1e-7 of its start, which forces the
+  // exact recompute. Pivoting on stale norms would break the
+  // non-increasing diagonal.
+  const index_t m = 90, n = 40;
+  const Matrix<double> u = Matrix<double>::random_normal(m, 1, 715);
+  Matrix<double> a = Matrix<double>::random_normal(m, n, 716);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) a(i, j) = u(i, 0) + 1e-7 * a(i, j);
+  const auto qr = geqp3(a, 0.0, 0);
+  ASSERT_EQ(qr.rank, n);
+  expect_permutation(qr.jpvt, n);
+  for (index_t k = 1; k < n; ++k)
+    EXPECT_LE(std::abs(qr.r(k, k)), std::abs(qr.r(k - 1, k - 1)) * (1 + 1e-6))
+        << "k " << k;
+  EXPECT_LT(std::abs(qr.r(1, 1)), 1e-5 * std::abs(qr.r(0, 0)));
+  expect_leading_gram(a, qr, n, 1e-13);
+  expect_column_norms(a, qr, 1e-9);
+}
+
+TEST(Geqp3, WideInput) {
+  const index_t m = 9, n = 50;
+  const Matrix<double> a = Matrix<double>::random_normal(m, n, 717);
+  const auto qr = geqp3(a, 0.0, 0);
+  EXPECT_EQ(qr.rank, m);
+  EXPECT_EQ(qr.r.rows(), m);
+  EXPECT_EQ(qr.r.cols(), n);
+  expect_permutation(qr.jpvt, n);
+  expect_leading_gram(a, qr, m, 1e-13);
+  expect_column_norms(a, qr, 1e-9);
+}
+
+TEST(Geqp3, OneByOne) {
+  Matrix<double> a(1, 1, -3.0);
+  auto qr = geqp3(a, 1e-10, 0);
+  EXPECT_EQ(qr.rank, 1);
+  EXPECT_DOUBLE_EQ(std::abs(qr.r(0, 0)), 3.0);
+  a(0, 0) = 0.0;
+  qr = geqp3(a, 1e-10, 0);
+  EXPECT_EQ(qr.rank, 0);
+  EXPECT_EQ(qr.r(0, 0), 0.0);
+}
+
+TEST(Geqp3, AllZeroInput) {
+  const Matrix<double> a(30, 40);
+  const auto qr = geqp3(a, 1e-10, 0);
+  EXPECT_EQ(qr.rank, 0);
+  expect_permutation(qr.jpvt, 40);
+  for (index_t j = 0; j < 40; ++j)
+    for (index_t i = 0; i < qr.r.rows(); ++i) EXPECT_EQ(qr.r(i, j), 0.0);
+  EXPECT_EQ(geqp3(a, 0.0, 0).rank, 0);
+}
+
+TEST(Geqp3, FloatChoosesTheDoublePivots) {
+  // Well-separated spectrum (ratio 0.5 per column): float input, factored
+  // in double, picks the same pivots as the double factorization.
+  const index_t m = 100, n = 64;
+  Matrix<double> a = Matrix<double>::random_normal(m, n, 718);
+  const Matrix<double> v = Matrix<double>::random_normal(n, n, 719);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) a(i, j) *= std::pow(0.5, double(j) / 2);
+  const Matrix<double> ad = matmul(a, v);
+  const Matrix<float> af = convert<float>(ad);
+  const auto qd = geqp3(convert<double>(af), 1e-5, 0);
+  const auto qf = geqp3(af, 1e-5f, 0);
+  ASSERT_EQ(qf.rank, qd.rank);
+  EXPECT_GT(qf.rank, 32);
+  for (index_t k = 0; k < qd.rank; ++k) {
+    EXPECT_EQ(qf.jpvt[std::size_t(k)], qd.jpvt[std::size_t(k)]) << k;
+    EXPECT_NEAR(double(qf.r(k, k)), qd.r(k, k),
+                1e-6 * std::abs(qd.r(k, k)) + 1e-30);
+  }
+}
+
 // ----------------------------------------------------------------- ID ----
 
 class IdRanks : public ::testing::TestWithParam<int> {};
@@ -995,6 +1195,32 @@ TEST(GemmKernel, ScalarAndDispatchedBitwiseIdenticalDouble) {
 TEST(GemmKernel, ScalarAndDispatchedBitwiseIdenticalFloat) {
   check_dispatch_bitwise<float>(257, 130, 241);
   check_dispatch_bitwise<float>(67, 3, 31);
+}
+
+TEST(GemmKernel, TransposedGemvBitwiseIdenticalAcrossDispatch) {
+  // 8-column AVX2 sweeps, single-column tails and m % 4 tail rows: every
+  // path gives the portable kernel's bits.
+  for (const index_t m : {index_t(1), index_t(3), index_t(130), index_t(291)})
+    for (const index_t n : {index_t(1), index_t(7), index_t(13)}) {
+      const index_t lda = m + 3;
+      const Matrix<double> a = Matrix<double>::random_normal(lda, n, 461);
+      const Matrix<double> x = Matrix<double>::random_normal(m, 1, 462);
+      std::vector<double> y_dispatched(std::size_t(n), 0.0);
+      std::vector<double> y_scalar(std::size_t(n), 0.0);
+      gemv_t_panel(m, n, a.data(), lda, x.data(), y_dispatched.data());
+      {
+        ForceScalarGuard guard;
+        gemv_t_panel(m, n, a.data(), lda, x.data(), y_scalar.data());
+      }
+      for (index_t j = 0; j < n; ++j) {
+        EXPECT_EQ(std::memcmp(&y_dispatched[std::size_t(j)],
+                              &y_scalar[std::size_t(j)], sizeof(double)),
+                  0)
+            << m << "x" << n << " column " << j;
+        EXPECT_NEAR(y_scalar[std::size_t(j)], dot(m, a.col(j), x.data()),
+                    1e-12 * (1 + std::sqrt(double(m))));
+      }
+    }
 }
 
 // ------------------------------------------------------------- eigen ----

@@ -1,5 +1,6 @@
 // Unit tests for the task runtime (DAG scheduler + traversal engines).
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
 #include <chrono>
@@ -299,6 +300,88 @@ TEST(Scheduler, DroppedFutureStillCompletes) {
     (void)s.submit(g);
   }  // ~Scheduler drains
   EXPECT_EQ(count.load(), 16);
+}
+
+// ---------------------------------------------------- wake-up / OpenMP ----
+
+TEST(Scheduler, ThousandsOfTinyGraphsNeverLoseAWakeUp) {
+  // A dispatch counted outside the wake mutex could land between an idle
+  // worker's (false) wait predicate and its blocking, losing the notify
+  // and leaving run() waiting forever, most often with one worker. Fresh
+  // pools, whose workers are just reaching their first wait, and reused
+  // ones both race that window here. A bounded wait turns a lost wake-up
+  // into a failure, not a hang; ~Scheduler's stop notify then drains the
+  // stuck graph, which `stuck` keeps alive until every pool is gone.
+  std::vector<std::unique_ptr<TaskGraph>> stuck;
+  auto run_bounded = [&stuck](Scheduler& s, std::atomic<int>& done) {
+    auto g = std::make_unique<TaskGraph>();
+    Task* a = g->emplace([&](int) { done++; });
+    Task* b = g->emplace([&](int) { done++; });
+    Task* c = g->emplace([&](int) { done++; });
+    g->add_edge(a, b);
+    g->add_edge(a, c);
+    auto f = s.submit(*g);
+    if (f.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      stuck.push_back(std::move(g));
+      return false;
+    }
+    f.get();
+    return true;
+  };
+  constexpr int kGraphs = 2000;
+  for (const int workers : {1, 2}) {
+    std::atomic<int> done{0};
+    int completed = 0;
+    for (int i = 0; i < kGraphs; ++i) {
+      Scheduler fresh(workers);
+      if (!run_bounded(fresh, done)) break;
+      ++completed;
+    }
+    Scheduler reused(workers);
+    for (int i = 0; i < kGraphs; ++i) {
+      if (!run_bounded(reused, done)) break;
+      ++completed;
+    }
+    EXPECT_EQ(completed, 2 * kGraphs) << workers << " worker(s)";
+  }
+}
+
+TEST(Scheduler, TasksSeeOneOpenMpThread) {
+  // A kernel's omp parallel region inside a task runs on a one-thread
+  // team; the pool, not nested OpenMP teams, owns the cores.
+  Scheduler s(3);
+  std::atomic<int> ran{0}, wider{0};
+  TaskGraph g;
+  for (int i = 0; i < 12; ++i)
+    g.emplace([&](int) {
+      int team = 0;
+#pragma omp parallel
+      {
+#pragma omp single
+        team = omp_get_num_threads();
+      }
+      if (omp_get_max_threads() != 1 || team != 1) wider++;
+      ran++;
+    });
+  s.run(g);
+  EXPECT_EQ(ran.load(), 12);
+  EXPECT_EQ(wider.load(), 0);
+}
+
+TEST(Scheduler, CallerKeepsItsOpenMpThreadCount) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(3);
+  {
+    Scheduler s(2);
+    TaskGraph g;
+    for (int i = 0; i < 8; ++i) g.emplace([](int) {});
+    s.run(g);
+    EXPECT_EQ(omp_get_max_threads(), 3);
+    (void)s.submit(g).get();
+    EXPECT_EQ(omp_get_max_threads(), 3);
+  }
+  EXPECT_EQ(omp_get_max_threads(), 3);
+  omp_set_num_threads(saved);
 }
 
 // -------------------------------------------------- traversal engines ----
